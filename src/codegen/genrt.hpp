@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rtlib/dmatrix.hpp"
+#include "support/matio.hpp"
 #include "support/rng.hpp"
 
 namespace otter::genrt {
@@ -77,7 +78,7 @@ inline void ML_set_linear(Ctx& ctx, rt::DMat& m, size_t k, double v) {
 inline void ML_display_scalar(Ctx& ctx, const char* name, double v) {
   if (ctx.comm.rank() != 0) return;
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
+  std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
   ctx.out << name << " =\n" << buf << '\n';
 }
 
@@ -106,7 +107,7 @@ inline void ML_shape_check(const rt::DMat& m, const char* what,
 inline void ML_disp_scalar(Ctx& ctx, double v) {
   if (ctx.comm.rank() != 0) return;
   char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
+  std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
   ctx.out << buf << '\n';
 }
 
@@ -174,7 +175,7 @@ inline void ML_fprintf(Ctx& ctx, const char* fmt,
       if (i >= f.size()) break;
       char conv = f[i];
       spec += conv;
-      double v = next < data.size() ? data[next] : 0.0;
+      double v = next < data.size() ? print_form(data[next]) : 0.0;
       if (next < data.size()) {
         ++next;
         ++consumed;

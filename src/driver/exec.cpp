@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "driver/kernel.hpp"
+#include "support/matio.hpp"
 #include "support/rng.hpp"
 #include "vm/bcgen.hpp"
 #include "vm/vm.hpp"
@@ -194,20 +195,16 @@ class Executor {
       fail("element-wise operand '" + k.mats[bad_slot] + "' misaligned");
     }
     bind_scalar_slots(k, f);
-    kstack_.resize(k.max_stack);
     DMat& dst = mat(f, in.dst);
     if (dst.aligned_with(proto)) {
-      // In place: element l only reads index l of its operands before
-      // writing index l, so dst may alias an operand buffer.
-      auto ov = dst.local();
-      k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(),
-            kstack_.data(), n);
+      // In place: Kernel::run allows dst to alias an operand buffer.
+      k.run(dst.local().data(), kmat_ptrs_.data(), kscalar_vals_.data(),
+            kstack_, n);
       return Flow::Normal;
     }
     DMat out(comm_, proto.rows(), proto.cols(), proto.layout().dist());
-    auto ov = out.local();
-    k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(), kstack_.data(),
-          n);
+    k.run(out.local().data(), kmat_ptrs_.data(), kscalar_vals_.data(),
+          kstack_, n);
     mat(f, in.dst) = std::move(out);
     return Flow::Normal;
   }
@@ -583,9 +580,9 @@ class Executor {
           const Kernel& k = kernel_for(in);
           if (k.ok && k.mats.empty()) {
             bind_scalar_slots(k, f);
-            kstack_.resize(k.max_stack);
-            scalar(f, in.sdst) = k.eval(nullptr, kscalar_vals_.data(),
-                                        kstack_.data(), 0);
+            double v = 0.0;
+            k.run(&v, nullptr, kscalar_vals_.data(), kstack_, 1);
+            scalar(f, in.sdst) = v;
             return Flow::Normal;
           }
         }
@@ -604,7 +601,7 @@ class Executor {
           double v = operand_scalar(in.args[1], f);
           if (comm_.rank() == 0) {
             char buf[64];
-            std::snprintf(buf, sizeof buf, "%.6g", v);
+            std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
             out_ << name << " =\n" << buf << '\n';
           }
         }
@@ -621,7 +618,7 @@ class Executor {
           double v = operand_scalar(o, f);
           if (comm_.rank() == 0) {
             char buf[64];
-            std::snprintf(buf, sizeof buf, "%.6g", v);
+            std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
             out_ << buf << '\n';
           }
         }
@@ -741,12 +738,12 @@ class Executor {
   uint64_t deadline_stride_ = 0;  // amortizes the per-statement deadline poll
   const LInstr* cur_ = nullptr;  // innermost statement, for error context
   // Compiled-kernel cache and reusable per-statement scratch (the "arena":
-  // operand pointers, scalar slots, and the postfix value stack are
-  // allocated once and reused across statements).
+  // operand pointers, scalar slots, and the block registers are allocated
+  // once and reused across statements).
   std::unordered_map<const LInstr*, Kernel> kernels_;
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;
-  std::vector<double> kstack_;
+  KScratch kstack_;
 };
 
 }  // namespace
@@ -784,7 +781,7 @@ void fprintf_stream(std::ostream& out, const std::string& fmt,
       if (i >= fmt.size()) break;
       char conv = fmt[i];
       spec += conv;
-      double v = next < data.size() ? data[next] : 0.0;
+      double v = next < data.size() ? print_form(data[next]) : 0.0;
       if (next < data.size()) {
         ++next;
         ++consumed;

@@ -1,8 +1,10 @@
 #include "driver/kernel.hpp"
 
-#include <limits>
+#include <algorithm>
+#include <array>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 namespace otter::driver {
 
@@ -102,54 +104,108 @@ struct Builder {
   }
 };
 
-/// Recognises the postfix programs that cover nearly all fused statements
-/// in practice (see KPat). Anything else stays Generic.
-void classify(Kernel& k) {
-  auto as_operand = [](const KOp& op, KOperand& o) -> bool {
-    switch (op.k) {
-      case KOp::K::PushMat:
-        o.k = KOperand::K::Mat;
-        o.slot = op.slot;
-        return true;
-      case KOp::K::PushScalar:
-        o.k = KOperand::K::Slot;
-        o.slot = op.slot;
-        return true;
-      case KOp::K::PushImm:
-        o.k = KOperand::K::Imm;
-        o.imm = op.imm;
-        return true;
-      case KOp::K::Bin:
-      case KOp::K::Un:
-        return false;
-    }
-    return false;
-  };
-  const std::vector<KOp>& ops = k.ops;
-  if (ops.size() == 2 && ops[1].k == KOp::K::Un &&
-      as_operand(ops[0], k.o1)) {
-    k.pat = KPat::Un1;
-    k.puop = ops[1].uop;
-    return;
-  }
-  if (ops.size() == 3 && ops[2].k == KOp::K::Bin &&
-      as_operand(ops[0], k.o1) && as_operand(ops[1], k.o2)) {
-    k.pat = KPat::Bin2;
-    k.pbop = ops[2].bop;
-    return;
-  }
-  if (ops.size() == 5 && ops[3].k == KOp::K::Bin &&
-      ops[3].bop == rt::EwBin::Mul && ops[4].k == KOp::K::Bin &&
-      (ops[4].bop == rt::EwBin::Add || ops[4].bop == rt::EwBin::Sub) &&
-      as_operand(ops[0], k.o1) && as_operand(ops[1], k.o2) &&
-      as_operand(ops[2], k.o3)) {
-    k.pat = KPat::Axpy;
-    k.pbop2 = ops[4].bop;
-    return;
+// One loop per operator: `Op` is a template argument, so ew_apply_*'s switch
+// folds away and each loop body is the bare operation. Scalar operands stay
+// scalars (never broadcast into a block).
+template <rt::EwBin Op>
+void bin_block(double* out, KVal a, KVal b, size_t len) {
+  using rt::ew_apply_bin;
+  if (a.p != nullptr && b.p != nullptr) {
+    for (size_t l = 0; l < len; ++l) out[l] = ew_apply_bin(Op, a.p[l], b.p[l]);
+  } else if (a.p != nullptr) {
+    for (size_t l = 0; l < len; ++l) out[l] = ew_apply_bin(Op, a.p[l], b.s);
+  } else {
+    for (size_t l = 0; l < len; ++l) out[l] = ew_apply_bin(Op, a.s, b.p[l]);
   }
 }
 
+template <rt::EwUn Op>
+void un_block(double* out, const double* a, size_t len) {
+  for (size_t l = 0; l < len; ++l) out[l] = rt::ew_apply_un(Op, a[l]);
+}
+
+using BinFn = void (*)(double*, KVal, KVal, size_t);
+using UnFn = void (*)(double*, const double*, size_t);
+
+template <size_t... I>
+constexpr std::array<BinFn, sizeof...(I)> bin_fns(std::index_sequence<I...>) {
+  return {&bin_block<static_cast<rt::EwBin>(I)>...};
+}
+template <size_t... I>
+constexpr std::array<UnFn, sizeof...(I)> un_fns(std::index_sequence<I...>) {
+  return {&un_block<static_cast<rt::EwUn>(I)>...};
+}
+// Indexed by operator; EwBin::Max and EwUn::Sign are the last enumerators.
+constexpr size_t kNumBin = static_cast<size_t>(rt::EwBin::Max) + 1;
+constexpr size_t kNumUn = static_cast<size_t>(rt::EwUn::Sign) + 1;
+constexpr auto kBinFns = bin_fns(std::make_index_sequence<kNumBin>{});
+constexpr auto kUnFns = un_fns(std::make_index_sequence<kNumUn>{});
+
 }  // namespace
+
+void Kernel::run(double* dst, const double* const* mat_ptrs,
+                 const double* scalar_vals, KScratch& scratch,
+                 size_t n) const {
+  // Registers are `block` doubles apart, one per value-stack depth: a value
+  // at depth d lives in a matrix buffer, in register d, or (last op only)
+  // in dst, so no op ever reads a block another op of this pass overwrote.
+  const size_t block = std::min(n, kBlock);
+  if (scratch.vals.size() < max_stack) scratch.vals.resize(max_stack);
+  if (!mats.empty() && scratch.regs.size() < max_stack * block) {
+    scratch.regs.resize(max_stack * block);
+  }
+  KVal* st = scratch.vals.data();
+  double* regs = scratch.regs.data();
+  const size_t last = ops.size() - 1;
+  for (size_t base = 0; base < n; base += block) {
+    const size_t len = std::min(block, n - base);
+    size_t sp = 0;
+    for (size_t i = 0; i <= last; ++i) {
+      const KOp& op = ops[i];
+      switch (op.k) {
+        case KOp::K::PushImm:
+          st[sp++] = {nullptr, op.imm};
+          break;
+        case KOp::K::PushScalar:
+          st[sp++] = {nullptr, scalar_vals[op.slot]};
+          break;
+        case KOp::K::PushMat:
+          st[sp++] = {mat_ptrs[op.slot] + base, 0.0};
+          break;
+        case KOp::K::Bin: {
+          KVal& a = st[sp - 2];
+          const KVal& b = st[sp - 1];
+          --sp;
+          if (a.p == nullptr && b.p == nullptr) {
+            a.s = rt::ew_apply_bin(op.bop, a.s, b.s);
+            break;
+          }
+          double* out = i == last ? dst + base : regs + (sp - 1) * block;
+          kBinFns[static_cast<size_t>(op.bop)](out, a, b, len);
+          a.p = out;
+          break;
+        }
+        case KOp::K::Un: {
+          KVal& a = st[sp - 1];
+          if (a.p == nullptr) {
+            a.s = rt::ew_apply_un(op.uop, a.s);
+            break;
+          }
+          double* out = i == last ? dst + base : regs + (sp - 1) * block;
+          kUnFns[static_cast<size_t>(op.uop)](out, a.p, len);
+          a.p = out;
+          break;
+        }
+      }
+    }
+    // A scalar result, or a bare matrix leaf, still has to reach dst.
+    if (st[0].p == nullptr) {
+      std::fill_n(dst + base, len, st[0].s);
+    } else if (st[0].p != dst + base) {
+      std::copy_n(st[0].p, len, dst + base);
+    }
+  }
+}
 
 Kernel compile_kernel(const lower::LExpr& tree) {
   if (has_rand(tree)) {
@@ -160,7 +216,6 @@ Kernel compile_kernel(const lower::LExpr& tree) {
   Builder b;
   b.build(tree);
   b.k.ok = b.ok && !b.k.ops.empty();
-  if (b.k.ok) classify(b.k);
   return b.k;
 }
 

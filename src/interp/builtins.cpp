@@ -86,39 +86,47 @@ Value reduce(const Value& v, SourceLoc loc, double init, Fold fold,
   return Value(std::move(out));
 }
 
+/// Two-argument real element-wise builtin with scalar broadcasting:
+/// min(a,b), max(a,b), mod and rem.
+template <typename Fn>
+Value real_binary(const Value& a, const Value& b, SourceLoc loc,
+                  const char* name, Fn fn) {
+  if (a.is_real() && b.is_real()) {
+    return Value(fn(a.real_scalar(), b.real_scalar()));
+  }
+  auto bop = [&](const Mat& m, double s, bool scalar_second) {
+    auto out = std::make_shared<Mat>(m.rows, m.cols);
+    for (size_t i = 0; i < m.numel(); ++i) {
+      out->re[i] = scalar_second ? fn(m.re[i], s) : fn(s, m.re[i]);
+    }
+    return Value(std::move(out));
+  };
+  auto real_mat = [](const Value& v) {
+    return v.is_matrix() && !v.mat()->is_complex;
+  };
+  if (real_mat(a) && b.is_real()) return bop(*a.mat(), b.real_scalar(), true);
+  if (a.is_real() && real_mat(b)) return bop(*b.mat(), a.real_scalar(), false);
+  if (real_mat(a) && real_mat(b)) {
+    const Mat& ma = *a.mat();
+    const Mat& mb = *b.mat();
+    if (ma.rows != mb.rows || ma.cols != mb.cols) {
+      fail(loc, std::string("matrix dimensions must agree in ") + name);
+    }
+    auto out = std::make_shared<Mat>(ma.rows, ma.cols);
+    for (size_t i = 0; i < ma.numel(); ++i) {
+      out->re[i] = fn(ma.re[i], mb.re[i]);
+    }
+    return Value(std::move(out));
+  }
+  fail(loc, std::string("invalid arguments to ") + name);
+}
+
 Value min_or_max(const std::vector<Value>& args, SourceLoc loc, bool is_min) {
   auto pick = [is_min](double a, double b) {
     return is_min ? std::min(a, b) : std::max(a, b);
   };
   if (args.size() == 2) {
-    // Element-wise two-argument form min(a,b).
-    const Value& a = args[0];
-    const Value& b = args[1];
-    if (a.is_real() && b.is_real()) {
-      return Value(pick(a.real_scalar(), b.real_scalar()));
-    }
-    auto bop = [&](const Mat& m, double s, bool scalar_second) {
-      auto out = std::make_shared<Mat>(m.rows, m.cols);
-      for (size_t i = 0; i < m.numel(); ++i) {
-        out->re[i] = scalar_second ? pick(m.re[i], s) : pick(s, m.re[i]);
-      }
-      return Value(std::move(out));
-    };
-    if (a.is_matrix() && b.is_real()) return bop(*a.mat(), b.real_scalar(), true);
-    if (a.is_real() && b.is_matrix()) return bop(*b.mat(), a.real_scalar(), false);
-    if (a.is_matrix() && b.is_matrix()) {
-      const Mat& ma = *a.mat();
-      const Mat& mb = *b.mat();
-      if (ma.rows != mb.rows || ma.cols != mb.cols) {
-        fail(loc, "matrix dimensions must agree in min/max");
-      }
-      auto out = std::make_shared<Mat>(ma.rows, ma.cols);
-      for (size_t i = 0; i < ma.numel(); ++i) {
-        out->re[i] = pick(ma.re[i], mb.re[i]);
-      }
-      return Value(std::move(out));
-    }
-    fail(loc, "invalid arguments to min/max");
+    return real_binary(args[0], args[1], loc, "min/max", pick);
   }
   // Reduction form.
   double init = is_min ? std::numeric_limits<double>::infinity()
@@ -333,31 +341,11 @@ std::vector<Value> Interp::call_builtin(const BuiltinInfo& info,
       return {map_real(args[0], loc, [](double x) { return std::round(x); })};
     case Builtin::Sign:
       return {map_real(args[0], loc, dsign)};
-    case Builtin::Mod: {
-      // Element-wise with scalar broadcast via binary_op machinery.
-      if (args[0].is_real() && args[1].is_real()) {
-        return {Value(dmod(args[0].real_scalar(), args[1].real_scalar()))};
-      }
-      double y = to_double(args[1], loc);
-      if (!args[0].is_matrix()) fail(loc, "invalid arguments to mod");
-      const Mat& m = *args[0].mat();
-      auto out = std::make_shared<Mat>(m.rows, m.cols);
-      for (size_t i = 0; i < m.numel(); ++i) out->re[i] = dmod(m.re[i], y);
-      return {Value(std::move(out))};
-    }
-    case Builtin::Rem: {
-      if (args[0].is_real() && args[1].is_real()) {
-        return {Value(std::fmod(args[0].real_scalar(), args[1].real_scalar()))};
-      }
-      double y = to_double(args[1], loc);
-      if (!args[0].is_matrix()) fail(loc, "invalid arguments to rem");
-      const Mat& m = *args[0].mat();
-      auto out = std::make_shared<Mat>(m.rows, m.cols);
-      for (size_t i = 0; i < m.numel(); ++i) {
-        out->re[i] = std::fmod(m.re[i], y);
-      }
-      return {Value(std::move(out))};
-    }
+    case Builtin::Mod:
+      return {real_binary(args[0], args[1], loc, "mod", dmod)};
+    case Builtin::Rem:
+      return {real_binary(args[0], args[1], loc, "rem",
+                          [](double x, double y) { return std::fmod(x, y); })};
     case Builtin::Real:
       return {map_complex(args[0], loc,
                           [](const std::complex<double>& z) {
@@ -471,7 +459,7 @@ void Interp::do_fprintf(const std::vector<Value>& args, SourceLoc loc) {
       char conv = fmt[i];
       spec += conv;
       char buf[128];
-      double v = next < data.size() ? data[next] : 0.0;
+      double v = next < data.size() ? print_form(data[next]) : 0.0;
       if (next < data.size()) {
         ++next;
         ++consumed_this_pass;

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "support/matio.hpp"
+
 namespace otter::interp {
 
 void Mat::demote_if_real() {
@@ -96,9 +98,10 @@ void format_number(std::ostream& os, double re, double im, bool is_complex) {
   // %.6g — shared with rtlib's print so outputs diff cleanly.
   char buf[64];
   if (is_complex && im != 0.0) {
-    std::snprintf(buf, sizeof buf, "%.6g%+.6gi", re, im);
+    std::snprintf(buf, sizeof buf, "%.6g%+.6gi", print_form(re),
+                  print_form(im));
   } else {
-    std::snprintf(buf, sizeof buf, "%.6g", re);
+    std::snprintf(buf, sizeof buf, "%.6g", print_form(re));
   }
   os << buf;
 }

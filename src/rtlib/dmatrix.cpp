@@ -343,10 +343,11 @@ DMat matmul(mpi::Comm& comm, const DMat& a, const DMat& b) {
     size_t my_rows = a.layout().count(comm.rank());
     auto av = a.local();
     auto cv = c.local();
+    // No zero skip on aik: 0 * Inf and 0 * NaN are NaN, and the
+    // interpreter's k-order sum includes every term.
     for (size_t i = 0; i < my_rows; ++i) {
       for (size_t k = 0; k < kdim; ++k) {
         double aik = av[i * kdim + k];
-        if (aik == 0.0) continue;
         const double* brow = &bfull[k * n];
         double* crow = &cv[i * n];
         for (size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
@@ -922,7 +923,8 @@ std::string format_dmat(mpi::Comm& comm, const DMat& m) {
   for (size_t r = 0; r < m.rows(); ++r) {
     for (size_t c = 0; c < m.cols(); ++c) {
       if (c) ss << ' ';
-      std::snprintf(buf, sizeof buf, "%.6g", full[r * m.cols() + c]);
+      double v = print_form(full[r * m.cols() + c]);
+      std::snprintf(buf, sizeof buf, "%.6g", v);
       ss << buf;
     }
     ss << '\n';

@@ -136,7 +136,8 @@ class DMat {
 };
 
 /// Element-wise operator codes shared between the direct executor and
-/// generated C code.
+/// generated C code. Max and Sign stay last: driver/kernel.cpp sizes its
+/// per-operator loop tables from them.
 enum class EwBin : uint8_t {
   Add, Sub, Mul, Div, Pow, Lt, Le, Gt, Ge, Eq, Ne, And, Or, Mod, Rem,
   Min, Max,

@@ -749,9 +749,11 @@ class Inferencer {
                        a.cols)};
       }
       case Builtin::MinFn:
-      case Builtin::MaxFn: {
+      case Builtin::MaxFn:
+      case Builtin::Mod:
+      case Builtin::Rem: {
         if (args.size() == 2) {
-          // Element-wise two-argument form.
+          // Element-wise two-argument form (mod and rem always have it).
           const Ty& a = args[0];
           const Ty& c = args[1];
           BaseType t = std::max(a.type, c.type);
@@ -790,12 +792,6 @@ class Inferencer {
       case Builtin::Round:
       case Builtin::Sign:
         return {shaped(BaseType::Integer, args[0].rows, args[0].cols)};
-      case Builtin::Mod:
-      case Builtin::Rem: {
-        BaseType t = std::max(args[0].type, args[1].type);
-        const Ty& a = args[0];
-        return {shaped(t, a.rows, a.cols)};
-      }
       case Builtin::Real:
       case Builtin::Imag:
         return {shaped(BaseType::Real, args[0].rows, args[0].cols)};

@@ -8,11 +8,21 @@
 // at execution (rank 0 coordinates I/O and broadcasts).
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace otter {
+
+/// The value every engine hands to printf. A NaN's sign and payload are not
+/// MATLAB-visible, and which operand's NaN `a + b` returns depends on how the
+/// C++ compiler ordered the instruction's operands, so every NaN prints as
+/// the one positive quiet NaN ("nan").
+inline double print_form(double v) {
+  return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
+}
 
 struct MatFile {
   size_t rows = 0;

@@ -375,8 +375,7 @@ class ChunkGen {
       }
       ke.k = std::move(k);
       mod_.kernels.push_back(std::move(ke));
-      emit(Op::EwKern, dst, static_cast<uint32_t>(mod_.kernels.size() - 1),
-           cache_slot());
+      emit(Op::EwKern, dst, static_cast<uint32_t>(mod_.kernels.size() - 1));
       return;
     }
     // Tree fallback: per-element evaluation (rand draws per element).
@@ -1113,7 +1112,7 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
           if (i != 0) out += ' ';
           dump_reg(out, ch, 'm', ke.mat_regs[i]);
         }
-        out += "] cache=" + std::to_string(in.c);
+        out += ']';
         break;
       }
       case Op::EwTree:

@@ -8,8 +8,8 @@
 // run), a deduplicated constant pool, resolved jump targets for all
 // structured control flow, and per-site inline-cache slots for the checks
 // that are shape-stable in steady state (ShapeGuard, element-index
-// mapping, element-wise alignment). PR 5's postfix kernels ride along as
-// bytecode superinstructions (EwKern).
+// mapping). The driver's element-wise kernels ride along as bytecode
+// superinstructions (EwKern).
 //
 // A BcModule borrows the LProgram it was compiled from (kernel scalar
 // slots point into the LIR, exactly like driver::Kernel); keep the program
@@ -80,7 +80,7 @@ enum class Op : uint8_t {
   LoadF,    ///< m[a] = load(S[b])
   FromLit,  ///< m[a] = literal; A[b] = element sregs, c = rows, d = cols
   CopyM,    ///< m[a] = m[b] (deep copy)
-  EwKern,   ///< m[a] = kernel k[b] superinstruction; c = cache slot
+  EwKern,   ///< m[a] = kernel k[b] superinstruction
   EwTree,   ///< m[a] = per-element tree t[b] (rand-bearing fallback)
   Guard,    ///< ShapeGuard on m[a]; b = builtin name S[], c = cache slot
   // -- output ------------------------------------------------------------------

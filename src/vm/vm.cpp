@@ -6,6 +6,7 @@
 #include <ostream>
 #include <vector>
 
+#include "support/matio.hpp"
 #include "support/rng.hpp"
 
 // Dispatch strategy: direct-threaded computed goto where the compiler
@@ -37,11 +38,9 @@ using rt::DMat;
 /// cold state (versions start at 1).
 struct ICache {
   uint64_t key = 0;
-  uint64_t n = 0;     ///< EwKern: validated local element count
   uint64_t cols = 0;  ///< GetEl/SetEl: divisor of the cached linear mapping
   uint32_t hits = 0;
   uint8_t disabled = 0;  ///< stats frozen after kStableHits; check stays live
-  uint8_t in_place = 0;  ///< EwKern: dst was aligned with the prototype
   uint8_t kind = 0;      ///< GetEl/SetEl: 0 row vec, 1 col vec, 2 row-major
 };
 
@@ -257,67 +256,41 @@ class Vm {
 
   // -- compound instruction bodies ---------------------------------------------
 
+  // Shapes are validated on every execution: a handful of integer
+  // compares per operand, which measured cheaper than an inline cache's
+  // version-key bookkeeping on a loop of 4-element kernels.
   void ew_kernel(RFrame& f, const BcInstr& in) {
     const KernelEntry& ke = mod_.kernels[in.b];
     const driver::Kernel& k = ke.k;
-    uint64_t key = f.ver[in.a];
-    for (uint32_t r : ke.mat_regs) key = std::max(key, f.ver[r]);
-    ICache& ic = caches_[in.c];
-    size_t n;
-    bool in_place;
     kmat_ptrs_.resize(ke.mat_regs.size());
-    if (ic_hit(ic, key)) {
-      // Shapes and the in-place decision were validated at this version
-      // set; only the (possibly moved) local buffer pointers re-bind.
-      n = ic.n;
-      in_place = ic.in_place != 0;
-      for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
-        kmat_ptrs_[i] = f.m[ke.mat_regs[i]].local().data();
+    const DMat& proto = f.m[ke.mat_regs[0]];
+    size_t n = proto.local_elements();
+    size_t bad_slot = ke.mat_regs.size();
+    size_t bad_n = n;
+    for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
+      const DMat& m = f.m[ke.mat_regs[i]];
+      if (m.local_elements() < bad_n) {  // strict <: earliest slot wins
+        bad_n = m.local_elements();
+        bad_slot = i;
       }
-    } else {
-      const DMat& proto = f.m[ke.mat_regs[0]];
-      n = proto.local_elements();
-      size_t bad_slot = ke.mat_regs.size();
-      size_t bad_n = n;
-      for (size_t i = 0; i < ke.mat_regs.size(); ++i) {
-        const DMat& m = f.m[ke.mat_regs[i]];
-        if (m.local_elements() < bad_n) {  // strict <: earliest slot wins
-          bad_n = m.local_elements();
-          bad_slot = i;
-        }
-        kmat_ptrs_[i] = m.local().data();
-      }
-      if (n > 0 && bad_slot < ke.mat_regs.size()) {
-        fail("element-wise operand '" + k.mats[bad_slot] + "' misaligned");
-      }
-      in_place = f.m[in.a].aligned_with(proto);
-      ic.n = n;
-      ic.in_place = in_place ? 1 : 0;
+      kmat_ptrs_[i] = m.local().data();
+    }
+    if (n > 0 && bad_slot < ke.mat_regs.size()) {
+      fail("element-wise operand '" + k.mats[bad_slot] + "' misaligned");
     }
     kscalar_vals_.resize(ke.slot_regs.size());
     for (size_t i = 0; i < ke.slot_regs.size(); ++i) {
       kscalar_vals_[i] = f.s[ke.slot_regs[i]];
     }
-    kstack_.resize(k.max_stack);
-    if (in_place) {
-      auto ov = f.m[in.a].local();
-      k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(),
-            kstack_.data(), n);
-      return;  // shape and layout unchanged: version stays, cache stays warm
+    if (f.m[in.a].aligned_with(proto)) {
+      k.run(f.m[in.a].local().data(), kmat_ptrs_.data(),
+            kscalar_vals_.data(), kstack_, n);
+      return;
     }
-    const DMat& proto = f.m[ke.mat_regs[0]];
     DMat out(comm_, proto.rows(), proto.cols(), proto.layout().dist());
-    auto ov = out.local();
-    k.run(ov.data(), kmat_ptrs_.data(), kscalar_vals_.data(), kstack_.data(),
-          n);
+    k.run(out.local().data(), kmat_ptrs_.data(), kscalar_vals_.data(),
+          kstack_, n);
     setm(f, in.a, std::move(out));
-    // The setm just made the destination's version the globally newest, so
-    // next execution's key (max over dst + inputs) collapses to exactly it
-    // unless an *input* is reassigned in between. Re-stamping the key here
-    // keeps a loop-resident `b = a .* a + 1` site hitting; without it the
-    // site's own write would invalidate it every iteration. The cached
-    // shape stays valid: this site just produced a proto-shaped result.
-    ic.key = f.ver[in.a];
   }
 
   double eval_rnode(const TreeEntry& t, int32_t idx, RFrame& f, size_t l) {
@@ -810,7 +783,7 @@ class Vm {
         }
       } else if (comm_.rank() == 0) {
         char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", f.s[in->b]);
+        std::snprintf(buf, sizeof buf, "%.6g", print_form(f.s[in->b]));
         out_ << mod_.strings[in->a] << " =\n" << buf << '\n';
       }
     }
@@ -823,7 +796,7 @@ class Vm {
         if (comm_.rank() == 0) out_ << body;
       } else if (comm_.rank() == 0) {
         char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", f.s[in->a]);
+        std::snprintf(buf, sizeof buf, "%.6g", print_form(f.s[in->a]));
         out_ << buf << '\n';
       }
     }
@@ -861,7 +834,7 @@ class Vm {
   // Reusable per-statement scratch, mirroring the tree executor's arena.
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;
-  std::vector<double> kstack_;
+  driver::KScratch kstack_;
 };
 
 }  // namespace

@@ -19,7 +19,8 @@
 
 namespace otter::vm {
 
-/// Inline-cache behaviour counters, aggregated across all ranks of a run
+/// Inline-cache behaviour counters of the GetEl, SetEl and Guard sites,
+/// aggregated across all ranks of a run
 /// (each rank's VM flushes its local tallies once at run end, hence the
 /// atomics). A site stops counting once it self-disables after
 /// `kStableHits` consecutive hits — the version check itself never turns

@@ -144,5 +144,42 @@ disp(m);)";
   EXPECT_EQ(out.str(), expected.output);
 }
 
+// 0 * Inf is NaN: a matmul whose A row is all zeros must still propagate an
+// Inf or NaN of B into C, on every engine. A zero-skip in the kernel's
+// inner loop used to turn c(1,1) into 0 on the VM and in generated C.
+TEST_P(CcE2e, MatmulPropagatesIeeeSpecials) {
+  const std::string src = R"(a = zeros(2, 2);
+b = ones(2, 2);
+b(1, 1) = 1 / 0;
+b(2, 2) = 0 / 0;
+c = a * b;
+fprintf('%g %g %g %g\n', c(1,1) ~= c(1,1), c(1,2) ~= c(1,2), c(2,1) ~= c(2,1), c(2,2) ~= c(2,2));
+fprintf('%.17g %.17g\n', c(1,1), c(2,2));)";
+
+  driver::InterpRun expected = driver::run_interpreter(src);
+  ASSERT_EQ(expected.output.substr(0, 8), "1 1 1 1\n") << expected.output;
+  auto compiled = driver::compile_script(src);
+  ASSERT_TRUE(compiled->ok) << compiled->diags.to_string();
+  for (driver::ExecBackend backend :
+       {driver::ExecBackend::Vm, driver::ExecBackend::Tree}) {
+    driver::ExecOptions eo;
+    eo.backend = backend;
+    driver::ParallelRun run =
+        driver::run_parallel(compiled->lir, mpi::ideal(8), GetParam(), eo);
+    EXPECT_EQ(run.output, expected.output);
+  }
+  if (!CompiledProgram::toolchain_available()) {
+    GTEST_SKIP() << "no host C++ compiler available";
+  }
+  std::string error;
+  auto program = CompiledProgram::build(compiled->lir, &error);
+  ASSERT_TRUE(program.has_value()) << error;
+  std::ostringstream out;
+  mpi::run_spmd(mpi::ideal(8), GetParam(), [&](mpi::Comm& comm) {
+    program->run(comm, out, {});
+  });
+  EXPECT_EQ(out.str(), expected.output);
+}
+
 }  // namespace
 }  // namespace otter::codegen

@@ -1,14 +1,19 @@
 // Register-bytecode VM tests (src/vm): disassembly goldens for the compiled
 // form, tree-vs-VM output identity over the fig2 application corpus at
-// several rank counts, the inline-cache hit/miss/self-disable protocol, and
-// checkpoint crash+resume bitwise identity on the VM tier.
+// several rank counts, the inline-cache hit/miss/self-disable protocol,
+// checkpoint crash+resume bitwise identity on the VM tier, and the block
+// evaluator of the element-wise kernels both tiers share.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "driver/kernel.hpp"
 #include "driver/pipeline.hpp"
 #include "vm/bcgen.hpp"
 #include "vm/vm.hpp"
@@ -57,8 +62,8 @@ TEST(VmBytecode, GoldenScalarScript) {
             "  0006  ret       \n");
 }
 
-// A fused element-wise chain compiles to one EwKern superinstruction wired
-// to inline-cache slot 0; the reduction pipeline keeps its dedicated ops.
+// A fused element-wise chain compiles to one EwKern superinstruction; the
+// reduction pipeline keeps its dedicated ops.
 TEST(VmBytecode, GoldenFusedKernelScript) {
   EXPECT_EQ(dump_of("a = rand(4,4);\nb = a .* a + 1;\ndisp(sum(sum(b)))\n"),
             "== script (sregs=4 mregs=3)\n"
@@ -66,7 +71,7 @@ TEST(VmBytecode, GoldenFusedKernelScript) {
             "  0001  ldimm     s3 4\n"
             "  0002  fillrand  m0(a) s2 s3\n"
             "  0003  boundary  stmt 1\n"
-            "  0004  ewkern    m1(b) ops=5 mats=[m0(a)] cache=0\n"
+            "  0004  ewkern    m1(b) ops=5 mats=[m0(a)]\n"
             "  0005  boundary  stmt 2\n"
             "  0006  colwise   m2(ML_tmp1) m1(b) red0\n"
             "  0007  boundary  stmt 3\n"
@@ -179,13 +184,13 @@ TEST(VmIdentity, RandStreamMatches) {
 
 // ---- inline caches ----------------------------------------------------------
 
-// A loop-resident kernel site over stable shapes misses once, then hits
-// until it reaches kStableHits consecutive hits and self-disables its
+// A loop-resident linear-index site over stable shapes misses once, then
+// hits until it reaches kStableHits consecutive hits and self-disables its
 // bookkeeping.
 TEST(VmInlineCache, StableShapesHitThenSelfDisable) {
   auto c = compile(
       "a = rand(8, 8);\ns = 0;\n"
-      "for i = 1:40\n  b = a .* a + i;\n  s = s + sum(sum(b));\nend\n"
+      "for i = 1:40\n  s = s + a(i);\nend\n"
       "disp(s)\n");
   vm::VmStats stats;
   run_backend(c->lir, 1, driver::ExecBackend::Vm, &stats);
@@ -203,8 +208,8 @@ TEST(VmInlineCache, StableShapesHitThenSelfDisable) {
 TEST(VmInlineCache, ShapeChurnKeepsMissing) {
   auto c = compile(
       "s = 0;\n"
-      "for i = 2:21\n  a = rand(i, i + 1);\n  b = a .* a;\n"
-      "  s = s + sum(sum(b));\nend\ndisp(s)\n");
+      "for i = 2:21\n  a = rand(i, i + 1);\n  s = s + a(2);\nend\n"
+      "disp(s)\n");
   vm::VmStats stats;
   run_backend(c->lir, 1, driver::ExecBackend::Vm, &stats);
   EXPECT_GE(stats.cache_misses.load(), 20u);
@@ -216,13 +221,278 @@ TEST(VmInlineCache, ShapeChurnKeepsMissing) {
 TEST(VmInlineCache, StatsAggregateAcrossRanks) {
   auto c = compile(
       "a = rand(8, 8);\ns = 0;\n"
-      "for i = 1:10\n  b = a .* a;\n  s = s + sum(sum(b));\nend\ndisp(s)\n");
+      "for i = 1:10\n  s = s + a(i);\nend\ndisp(s)\n");
   vm::VmStats np1;
   run_backend(c->lir, 1, driver::ExecBackend::Vm, &np1);
   vm::VmStats np4;
   run_backend(c->lir, 4, driver::ExecBackend::Vm, &np4);
   EXPECT_EQ(np4.cache_hits.load(), np1.cache_hits.load() * 4);
   EXPECT_EQ(np4.cache_misses.load(), np1.cache_misses.load() * 4);
+}
+
+// ---- block element-wise kernels ---------------------------------------------
+
+// The element order the kernels had before block evaluation: the postfix
+// program walked once per element over a value stack. Kernel::run must
+// match it bit for bit on every element.
+double postfix_at(const driver::Kernel& k, const double* const* mats,
+                  const double* svals, size_t l) {
+  std::vector<double> st;
+  for (const driver::KOp& op : k.ops) {
+    switch (op.k) {
+      case driver::KOp::K::PushImm: st.push_back(op.imm); break;
+      case driver::KOp::K::PushScalar: st.push_back(svals[op.slot]); break;
+      case driver::KOp::K::PushMat: st.push_back(mats[op.slot][l]); break;
+      case driver::KOp::K::Bin: {
+        double b = st.back();
+        st.pop_back();
+        st.back() = rt::ew_apply_bin(op.bop, st.back(), b);
+        break;
+      }
+      case driver::KOp::K::Un:
+        st.back() = rt::ew_apply_un(op.uop, st.back());
+        break;
+    }
+  }
+  return st.back();
+}
+
+/// Bit equality, except that any two NaNs match: which operand's NaN an
+/// IEEE operation returns depends on how the C++ compiler ordered the
+/// operands, and no engine prints a NaN's sign or payload.
+bool same_bits(double a, double b) {
+  uint64_t ua = 0;
+  uint64_t ub = 0;
+  std::memcpy(&ua, &a, sizeof ua);
+  std::memcpy(&ub, &b, sizeof ub);
+  return ua == ub || (std::isnan(a) && std::isnan(b));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Inf, -Inf, NaN, both zeros, subnormals, and ordinary values; 13 is prime,
+// so columns read at coprime strides meet every pair within 169 elements.
+const double kSpecials[13] = {kInf, -kInf, std::nan(""), -0.0, 0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              -2.2e-308, 1.5, -2.75, 1e308, 3.0, -1.0, 0.5};
+
+/// Columns x, y, z of `n` elements mixing kSpecials at different strides.
+std::vector<std::vector<double>> special_columns(size_t n) {
+  std::vector<std::vector<double>> cols(3, std::vector<double>(n));
+  for (size_t l = 0; l < n; ++l) {
+    cols[0][l] = kSpecials[l % 13];
+    cols[1][l] = kSpecials[(l * 7 + 3) % 13];
+    cols[2][l] = kSpecials[(l * 5 + 11) % 13];
+  }
+  return cols;
+}
+
+/// Runs `k` over `n` elements of `cols` (matrix slot i reads column i) and
+/// compares every element's bits with postfix_at. `alias` >= 0 makes dst
+/// the buffer of that matrix slot, as an in-place statement would.
+void expect_block_matches_postfix(const driver::Kernel& k,
+                                  std::vector<std::vector<double>> cols,
+                                  const std::vector<double>& svals, size_t n,
+                                  int alias = -1) {
+  ASSERT_TRUE(k.ok);
+  std::vector<const double*> ptrs;
+  for (size_t i = 0; i < k.mats.size(); ++i) ptrs.push_back(cols[i].data());
+  std::vector<double> want(n);
+  for (size_t l = 0; l < n; ++l) {
+    want[l] = postfix_at(k, ptrs.data(), svals.data(), l);
+  }
+  std::vector<double> fresh(n, 42.0);
+  double* dst = alias >= 0 ? cols[static_cast<size_t>(alias)].data()
+                           : fresh.data();
+  driver::KScratch scratch;
+  k.run(dst, ptrs.data(), svals.data(), scratch, n);
+  for (size_t l = 0; l < n; ++l) {
+    ASSERT_TRUE(same_bits(dst[l], want[l]))
+        << "element " << l << " of " << n << ": " << dst[l] << " vs "
+        << want[l];
+  }
+}
+
+const size_t kBlockSizes[] = {0, 1, 511, 512, 513, 50000};
+
+// Every binary operator, with its operands as two matrices, matrix and
+// scalar slot, scalar slot and matrix, and matrix and immediate, over the
+// IEEE specials at sizes that cover empty shares, one element, and block
+// tails.
+TEST(KernelBlock, EveryBinaryOperatorMatchesPostfixOrder) {
+  using lower::lbin;
+  using lower::lmvar;
+  using lower::lsvar;
+  for (size_t op = 0; op <= static_cast<size_t>(rt::EwBin::Max); ++op) {
+    auto bop = static_cast<rt::EwBin>(op);
+    lower::LExprPtr trees[] = {
+        lbin(bop, lmvar("x"), lmvar("y")),
+        lbin(bop, lmvar("x"), lsvar("s")),
+        lbin(bop, lsvar("s"), lmvar("x")),
+        lbin(bop, lmvar("x"), lower::limm(-0.0)),
+    };
+    for (const lower::LExprPtr& t : trees) {
+      driver::Kernel k = driver::compile_kernel(*t);
+      for (size_t n : kBlockSizes) {
+        SCOPED_TRACE("op " + std::to_string(op) + " n=" + std::to_string(n));
+        // Every special as the scalar slot's value; one at the largest n.
+        for (double s : kSpecials) {
+          expect_block_matches_postfix(k, special_columns(n), {s}, n);
+          if (n > 2 * driver::Kernel::kBlock) break;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelBlock, EveryUnaryOperatorMatchesPostfixOrder) {
+  using lower::lmvar;
+  for (size_t op = 0; op <= static_cast<size_t>(rt::EwUn::Sign); ++op) {
+    auto uop = static_cast<rt::EwUn>(op);
+    // Alone, and applied to an intermediate held in a block register.
+    lower::LExprPtr trees[] = {
+        lower::lun(uop, lmvar("x")),
+        lower::lun(uop, lower::lbin(rt::EwBin::Mul, lmvar("x"), lmvar("y"))),
+    };
+    for (const lower::LExprPtr& t : trees) {
+      driver::Kernel k = driver::compile_kernel(*t);
+      for (size_t n : kBlockSizes) {
+        SCOPED_TRACE("op " + std::to_string(op) + " n=" + std::to_string(n));
+        expect_block_matches_postfix(k, special_columns(n), {}, n);
+      }
+    }
+  }
+}
+
+// dst may be any operand's buffer: first, middle, or last matrix slot, and
+// an operand read twice after intermediates were formed from it.
+TEST(KernelBlock, DstMayAliasAnyOperand) {
+  using lower::lbin;
+  using lower::lmvar;
+  using rt::EwBin;
+  // (x .* y + z) ./ (x - 0.5) - y
+  lower::LExprPtr t = lbin(
+      EwBin::Sub,
+      lbin(EwBin::Div,
+           lbin(EwBin::Add, lbin(EwBin::Mul, lmvar("x"), lmvar("y")),
+                lmvar("z")),
+           lbin(EwBin::Sub, lmvar("x"), lower::limm(0.5))),
+      lmvar("y"));
+  driver::Kernel k = driver::compile_kernel(*t);
+  ASSERT_EQ(k.mats.size(), 3u);
+  for (size_t n : kBlockSizes) {
+    for (int alias : {0, 1, 2}) {
+      SCOPED_TRACE("alias " + std::to_string(alias) + " n=" +
+                   std::to_string(n));
+      expect_block_matches_postfix(k, special_columns(n), {}, n, alias);
+    }
+  }
+}
+
+// Subtrees made only of scalar slots and immediates stay scalars inside a
+// matrix program, and an all-scalar program (the ScalarAssign case, n = 1)
+// never allocates a block register.
+TEST(KernelBlock, ScalarAndImmediateSubtreesStayScalar) {
+  using lower::lbin;
+  using lower::limm;
+  using lower::lmvar;
+  using lower::lsvar;
+  using rt::EwBin;
+  // ((s + 2) * (3 - t)) + x .* sqrt(s / 4)
+  lower::LExprPtr t = lbin(
+      EwBin::Add,
+      lbin(EwBin::Mul, lbin(EwBin::Add, lsvar("s"), limm(2)),
+           lbin(EwBin::Sub, limm(3), lsvar("t"))),
+      lbin(EwBin::Mul, lmvar("x"),
+           lower::lun(rt::EwUn::Sqrt, lbin(EwBin::Div, lsvar("s"), limm(4)))));
+  driver::Kernel k = driver::compile_kernel(*t);
+  std::vector<double> svals;  // one slot per scalar leaf, in leaf order
+  for (const lower::LExpr* leaf : k.scalars) {
+    svals.push_back(leaf->var == "s" ? 1.25 : -0.0);
+  }
+  ASSERT_EQ(svals.size(), 3u);
+  for (size_t n : kBlockSizes) {
+    expect_block_matches_postfix(k, special_columns(n), svals, n);
+  }
+  lower::LExprPtr scalar_only =
+      lbin(EwBin::Pow, lbin(EwBin::Sub, lsvar("s"), limm(0.75)),
+           lower::lun(rt::EwUn::Neg, lsvar("t")));
+  driver::Kernel ks = driver::compile_kernel(*scalar_only);
+  ASSERT_TRUE(ks.ok);
+  ASSERT_TRUE(ks.mats.empty());
+  for (double s : kSpecials) {
+    double svals[2] = {s, 3.0};
+    double got = 0.0;
+    driver::KScratch scratch;
+    ks.run(&got, nullptr, svals, scratch, 1);
+    EXPECT_TRUE(same_bits(got, postfix_at(ks, nullptr, svals, 0)));
+    EXPECT_TRUE(scratch.regs.empty());
+  }
+  lower::LExprPtr imm_only = lbin(EwBin::Div, limm(0), limm(0));
+  driver::Kernel ki = driver::compile_kernel(*imm_only);
+  double got = 0.0;
+  driver::KScratch scratch;
+  ki.run(&got, nullptr, nullptr, scratch, 1);
+  EXPECT_TRUE(std::isnan(got));
+  EXPECT_TRUE(scratch.regs.empty());
+}
+
+// A right-leaning tree deeper than 64 values: one block register per depth.
+TEST(KernelBlock, DeepTreeBeyondSixtyFourRegisters) {
+  const rt::EwBin kOps[] = {rt::EwBin::Add, rt::EwBin::Sub, rt::EwBin::Mul,
+                            rt::EwBin::Max, rt::EwBin::Div};
+  lower::LExprPtr t = lower::lmvar("z");
+  for (int d = 0; d < 80; ++d) {
+    t = lower::lbin(kOps[d % 5], lower::lmvar(d % 2 == 0 ? "x" : "y"),
+                    std::move(t));
+  }
+  driver::Kernel k = driver::compile_kernel(*t);
+  ASSERT_GT(k.max_stack, 64u);
+  for (size_t n : kBlockSizes) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_block_matches_postfix(k, special_columns(n), {}, n);
+    expect_block_matches_postfix(k, special_columns(n), {}, n, 1);
+  }
+}
+
+/// A fused element-wise script over `n` elements seeded with the IEEE
+/// specials, printing every element at full precision.
+std::string ieee_chain_script(size_t n) {
+  std::string s = "n = " + std::to_string(n) +
+                  ";\na = (1:n) * (4 / n) - 2;\nb = cos(a * 7) + 0.25;\n";
+  const char* kSpecialLits[] = {"1 / 0", "-1 / 0", "0 / 0", "-0", "1e-310",
+                                "-4e-320"};
+  for (size_t i = 0; i < 6; ++i) {
+    size_t at = 1 + i * 97;
+    if (at > n) break;
+    s += "a(" + std::to_string(at) + ") = " + kSpecialLits[i] + ";\n";
+    s += "b(" + std::to_string(n + 1 - at) + ") = " + kSpecialLits[5 - i] +
+         ";\n";
+  }
+  s += "c = (a .* b + 2.5) ./ (b - a) - sqrt(abs(a)) .* b;\n"
+       "d = max(a, b) .^ 2 - mod(a, 0.75) + (a < b) .* min(a, -b);\n"
+       "a = a .* b + exp(-a);\n"
+       "fprintf('%.17g\\n', c);\nfprintf('%.17g\\n', d);\n"
+       "fprintf('%.17g\\n', a);\n";
+  return s;
+}
+
+// End to end: the interpreter, the VM and the tree executor print the same
+// bits for fused chains over IEEE specials at every block edge, on one rank
+// and on four (where each rank's Vm owns its own block scratch and short
+// vectors leave some shares empty).
+TEST(KernelBlock, ChainsMatchTheInterpreterAtEveryBlockEdge) {
+  for (size_t n : {size_t{1}, size_t{511}, size_t{512}, size_t{513},
+                   size_t{50000}}) {
+    std::string src = ieee_chain_script(n);
+    std::string want = driver::run_interpreter(src).output;
+    auto c = compile(src);
+    for (int np : {1, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " np=" + std::to_string(np));
+      EXPECT_EQ(run_backend(c->lir, np, driver::ExecBackend::Vm).output, want);
+      EXPECT_EQ(run_backend(c->lir, np, driver::ExecBackend::Tree).output,
+                want);
+    }
+  }
 }
 
 // ---- checkpoint crash+resume on the VM tier ---------------------------------

@@ -22,10 +22,15 @@
 //      elimination. Scripts the analyzer flags W3210 (rank-divergent
 //      communication) are compile-checked but never executed: the flagged
 //      divergence really deadlocks.
+//   5. IEEE generator: seeded scripts whose element-wise chains, scalar
+//      chains and small matmuls run over Inf, -Inf, NaN, -0 and subnormals
+//      (written as literals, 1/0 and 0/0), printed at %.17g and diffed like
+//      check 3: interpreter vs tree -O0, tree -O2 and VM -O2 at np=1/3.
 //
 // Usage:
 //   otterfuzz [--seeds=LO:HI] [--mutations=N] [--corpus=DIR] [--no-diff]
-//             [--guards=N] [--no-verify-lir] [--max-tokens=N] [--verbose]
+//             [--guards=N] [--ieee=N] [--no-verify-lir] [--max-tokens=N]
+//             [--verbose]
 //
 // Every accepted compile is additionally run through the structural LIR
 // verifier (--verify-lir semantics): a verification failure on an input the
@@ -36,9 +41,11 @@
 //
 // Exit status: 0 when every check passed, 1 otherwise. The tool is
 // deterministic for a given flag set, so CI failures replay locally.
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -63,6 +70,7 @@ struct Options {
   uint64_t seed_hi = 500;
   int mutations = 25;          // per corpus file
   uint64_t guards = 200;       // generated guard/divergence scripts
+  uint64_t ieee = 200;         // generated IEEE-special scripts
   std::string extra_corpus;    // additional directory of .m seeds
   bool diff = true;
   bool verify = true;          // structural LIR verification of accepts
@@ -82,7 +90,7 @@ struct Stats {
 int usage() {
   std::cerr << "usage: otterfuzz [--seeds=LO:HI] [--mutations=N]\n"
                "                 [--corpus=DIR] [--no-diff] [--guards=N]\n"
-               "                 [--no-verify-lir] [--max-tokens=N]\n"
+               "                 [--ieee=N] [--no-verify-lir] [--max-tokens=N]\n"
                "                 [--verbose]\n";
   return 2;
 }
@@ -104,6 +112,8 @@ bool parse_args(int argc, char** argv, Options& o) try {
       o.mutations = std::stoi(*v);
     } else if (auto v = value("--guards=")) {
       o.guards = std::stoull(*v);
+    } else if (auto v = value("--ieee=")) {
+      o.ieee = std::stoull(*v);
     } else if (auto v = value("--corpus=")) {
       o.extra_corpus = *v;
     } else if (auto v = value("--max-tokens=")) {
@@ -358,6 +368,88 @@ std::string gen_guard_script(uint64_t seed) {
   return s;
 }
 
+// -- IEEE-special generator ---------------------------------------------------
+
+/// A random script over IEEE specials: three same-length operands and a
+/// special scalar feed element-wise chains (one element makes them scalar
+/// statements), then a small matmul and matvec whose zero-heavy left
+/// operand meets Inf and NaN in the right one. sqrt, log and ^ only see
+/// abs() arguments, so every engine stays real-valued (the interpreter
+/// would go complex). Nothing is summed: a sum's order depends on np.
+std::string gen_ieee_script(uint64_t seed) {
+  Lcg rng(seed * 0xd1342543de82ef95ULL + 11);
+  auto pick = [&](size_t n) {
+    return std::min(n - 1, static_cast<size_t>(rng.next() * n));
+  };
+  const char* const kLits[] = {"1 / 0", "-1 / 0", "0 / 0", "-0",   "0",
+                               "1e-310", "-4.9e-324", "2.5e-308", "1e308",
+                               "-1e308", "0.5",      "-2",        "3"};
+  const size_t kNumLits = sizeof(kLits) / sizeof(kLits[0]);
+  auto lit = [&] { return std::string(kLits[pick(kNumLits)]); };
+  size_t n = 1 + pick(6);
+  std::string s;
+  for (const char* v : {"x", "y", "z"}) {
+    s += std::string(v) + " = ";
+    if (n > 1) s += '[';
+    for (size_t i = 0; i < n; ++i) s += (i ? ", " : "") + lit();
+    s += n > 1 ? "];\n" : ";\n";
+  }
+  s += "s = " + lit() + ";\n";
+  std::function<std::string(int)> expr = [&](int depth) -> std::string {
+    if (depth == 0 || rng.next() < 0.2) {
+      double r = rng.next();
+      if (r < 0.6) return std::string(1, "xyz"[pick(3)]);
+      if (r < 0.8) return "s";
+      return "(" + lit() + ")";
+    }
+    const char* const kBin[] = {"+", "-", ".*", "./", "<", "<=", ">",
+                                ">=", "==", "~=", "&", "|"};
+    const char* const kUn[] = {"abs", "exp", "sin", "cos", "tan",
+                               "floor", "ceil", "round", "sign"};
+    const char* const kFn2[] = {"max", "min", "mod", "rem"};
+    switch (pick(5)) {
+      case 0:
+      case 1:
+        return "(" + expr(depth - 1) + " " + kBin[pick(12)] + " " +
+               expr(depth - 1) + ")";
+      case 2:
+        return std::string(kUn[pick(9)]) + "(" + expr(depth - 1) + ")";
+      case 3:
+        return std::string(kFn2[pick(4)]) + "(" + expr(depth - 1) + ", " +
+               expr(depth - 1) + ")";
+      default: {
+        double r = rng.next();
+        if (r < 0.3) return "sqrt(abs(" + expr(depth - 1) + "))";
+        if (r < 0.5) return "log(abs(" + expr(depth - 1) + "))";
+        if (r < 0.7) return "(-" + expr(depth - 1) + ")";
+        return "(abs(" + expr(depth - 1) + ") .^ " + expr(depth - 1) + ")";
+      }
+    }
+  };
+  for (int i = 0; i < 3; ++i) {
+    std::string r = "r" + std::to_string(i);
+    s += r + " = " + expr(3) + ";\nfprintf('%.17g\\n', " + r + ");\n";
+  }
+  // k x k matmul and matvec: A is mostly zeros, B and w carry specials.
+  size_t k = 2 + pick(2);
+  auto mat = [&](size_t cols, bool zero_heavy) {
+    std::string m = "[";
+    for (size_t i = 0; i < k; ++i) {
+      if (i) m += "; ";
+      for (size_t j = 0; j < cols; ++j) {
+        m += j ? ", " : "";
+        m += zero_heavy && rng.next() < 0.7 ? (rng.next() < 0.8 ? "0" : "-0")
+                                             : lit();
+      }
+    }
+    return m + "]";
+  };
+  s += "A = " + mat(k, true) + ";\nB = " + mat(k, false) + ";\nw = " +
+       mat(1, false) + ";\nC = A * B;\nv = A * w;\n"
+       "fprintf('%.17g\\n', C);\nfprintf('%.17g\\n', v);\n";
+  return s;
+}
+
 /// One execution attempt: the output on success, or the failure code (a
 /// firing E5003 shape guard is legitimate behaviour — it just has to fire
 /// identically at both opt levels).
@@ -543,6 +635,24 @@ int main(int argc, char** argv) {
       ++stats.accepted;
       if (opt.verbose) {
         std::cerr << "otterfuzz: guard diff ok: seed " << seed << '\n';
+      }
+    }
+  }
+
+  // 5. IEEE-special differential: the interpreter against every compiled
+  // leg, on scripts whose values are Inf, NaN, -0 and subnormals.
+  for (uint64_t seed = 0; seed < opt.ieee; ++seed) {
+    std::string script = gen_ieee_script(seed);
+    ++stats.inputs;
+    std::string problem = diff_one(script);
+    if (!problem.empty()) {
+      ++stats.failures;
+      std::cerr << "otterfuzz: FAIL [ieee] seed " << seed << ": " << problem
+                << "\n--- script ---\n" << script;
+    } else {
+      ++stats.accepted;
+      if (opt.verbose) {
+        std::cerr << "otterfuzz: ieee diff ok: seed " << seed << '\n';
       }
     }
   }
