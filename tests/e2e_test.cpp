@@ -4,16 +4,25 @@
 // compiler's main correctness oracle.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "driver/pipeline.hpp"
 #include "interp/interp.hpp"
 
 namespace otter::driver {
 namespace {
 
+// gtest has no printer for E2eParam, so each registered test name ends in
+// the param's raw bytes. `pad` spells out the three bytes after `dist` that
+// were once uninitialised padding and made the names differ from build to
+// build; they hold the values the names were first recorded with.
 struct E2eParam {
   int nranks;
   rt::Dist dist;
+  uint8_t pad[3];
 };
+static_assert(std::has_unique_object_representations_v<E2eParam>);
 
 std::string param_name(const ::testing::TestParamInfo<E2eParam>& info) {
   return "P" + std::to_string(info.param.nranks) +
@@ -47,14 +56,14 @@ class E2e : public ::testing::TestWithParam<E2eParam> {
 
 INSTANTIATE_TEST_SUITE_P(
     Ranks, E2e,
-    ::testing::Values(E2eParam{1, rt::Dist::RowBlock},
-                      E2eParam{2, rt::Dist::RowBlock},
-                      E2eParam{3, rt::Dist::RowBlock},
-                      E2eParam{5, rt::Dist::RowBlock},
-                      E2eParam{8, rt::Dist::RowBlock},
-                      E2eParam{1, rt::Dist::Cyclic},
-                      E2eParam{4, rt::Dist::Cyclic},
-                      E2eParam{7, rt::Dist::Cyclic}),
+    ::testing::Values(E2eParam{1, rt::Dist::RowBlock, {0x00, 0, 0}},
+                      E2eParam{2, rt::Dist::RowBlock, {0x55, 0, 0}},
+                      E2eParam{3, rt::Dist::RowBlock, {0x00, 0, 0}},
+                      E2eParam{5, rt::Dist::RowBlock, {0x55, 0, 0}},
+                      E2eParam{8, rt::Dist::RowBlock, {0x55, 0, 0}},
+                      E2eParam{1, rt::Dist::Cyclic, {0x7E, 0, 0}},
+                      E2eParam{4, rt::Dist::Cyclic, {0x7F, 0, 0}},
+                      E2eParam{7, rt::Dist::Cyclic, {0x55, 0, 0}}),
     param_name);
 
 TEST_P(E2e, ScalarArithmeticAndPrint) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #include "support/rng.hpp"
 
@@ -28,10 +30,16 @@ std::vector<double> iota_data(size_t n, double scale = 1.0) {
   return v;
 }
 
+// gtest has no printer for SweepParam, so each registered test name ends in
+// the param's raw bytes. `pad` spells out the three bytes after `dist` that
+// were once uninitialised padding and made the names differ from build to
+// build; they hold the values the names were first recorded with.
 struct SweepParam {
   int nranks;
   Dist dist;
+  uint8_t pad[3];
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>);
 
 std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
   return "P" + std::to_string(info.param.nranks) +
@@ -51,12 +59,17 @@ class RtSweep : public ::testing::TestWithParam<SweepParam> {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RtSweep,
-    ::testing::Values(SweepParam{1, Dist::RowBlock}, SweepParam{2, Dist::RowBlock},
-                      SweepParam{3, Dist::RowBlock}, SweepParam{4, Dist::RowBlock},
-                      SweepParam{7, Dist::RowBlock}, SweepParam{8, Dist::RowBlock},
-                      SweepParam{1, Dist::Cyclic}, SweepParam{2, Dist::Cyclic},
-                      SweepParam{3, Dist::Cyclic}, SweepParam{5, Dist::Cyclic},
-                      SweepParam{8, Dist::Cyclic}),
+    ::testing::Values(SweepParam{1, Dist::RowBlock, {0x55, 0, 0}},
+                      SweepParam{2, Dist::RowBlock, {0xEF, 0x6C, 0xBB}},
+                      SweepParam{3, Dist::RowBlock, {0x00, 0, 0}},
+                      SweepParam{4, Dist::RowBlock, {0xFF, 0xFF, 0xFF}},
+                      SweepParam{7, Dist::RowBlock, {0x00, 0, 0}},
+                      SweepParam{8, Dist::RowBlock, {0x55, 0, 0}},
+                      SweepParam{1, Dist::Cyclic, {0x00, 0, 0}},
+                      SweepParam{2, Dist::Cyclic, {0x55, 0, 0}},
+                      SweepParam{3, Dist::Cyclic, {0x55, 0, 0}},
+                      SweepParam{5, Dist::Cyclic, {0x7F, 0, 0}},
+                      SweepParam{8, Dist::Cyclic, {0x7F, 0, 0}}),
     param_name);
 
 TEST(Layout, RowBlockCoversAllItemsExactlyOnce) {
