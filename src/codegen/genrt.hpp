@@ -144,53 +144,10 @@ inline void ML_fprintf(Ctx& ctx, const char* fmt,
     }
   }
   if (ctx.comm.rank() != 0) return;
-  std::string f(fmt);
-  size_t next = 0;
-  do {
-    size_t consumed = 0;
-    for (size_t i = 0; i < f.size(); ++i) {
-      char c = f[i];
-      if (c == '\\' && i + 1 < f.size()) {
-        char e = f[++i];
-        if (e == 'n') ctx.out << '\n';
-        else if (e == 't') ctx.out << '\t';
-        else ctx.out << e;
-        continue;
-      }
-      if (c != '%') {
-        ctx.out << c;
-        continue;
-      }
-      if (i + 1 < f.size() && f[i + 1] == '%') {
-        ctx.out << '%';
-        ++i;
-        continue;
-      }
-      std::string spec = "%";
-      ++i;
-      while (i < f.size() && std::string("-+ 0123456789.*").find(f[i]) !=
-                                 std::string::npos) {
-        spec += f[i++];
-      }
-      if (i >= f.size()) break;
-      char conv = f[i];
-      spec += conv;
-      double v = next < data.size() ? print_form(data[next]) : 0.0;
-      if (next < data.size()) {
-        ++next;
-        ++consumed;
-      }
-      char buf[128];
-      if (conv == 'd' || conv == 'i') {
-        std::string s2 = spec.substr(0, spec.size() - 1) + "lld";
-        std::snprintf(buf, sizeof buf, s2.c_str(), static_cast<long long>(v));
-      } else {
-        std::snprintf(buf, sizeof buf, spec.c_str(), v);
-      }
-      ctx.out << buf;
-    }
-    if (consumed == 0) break;
-  } while (next < data.size());
+  if (char bad = fprintf_format(ctx.out, fmt, data)) {
+    throw rt::RtError(std::string("unsupported fprintf conversion '%") + bad +
+                      "'");
+  }
 }
 
 }  // namespace otter::genrt

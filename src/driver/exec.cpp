@@ -669,10 +669,8 @@ class Executor {
         double lo = eval_scalar(*in.lo, f);
         double step = eval_scalar(*in.step, f);
         double hi = eval_scalar(*in.hi, f);
-        if (step == 0.0) fail("for-loop step must be nonzero");
-        double span = (hi - lo) / step;
-        long n = span < 0 ? 0 : static_cast<long>(std::floor(span + 1e-10)) + 1;
-        for (long k = 0; k < n; ++k) {
+        size_t n = rt::checked_range_count(lo, step, hi);
+        for (size_t k = 0; k < n; ++k) {
           f.scalars[in.loop_var] = lo + static_cast<double>(k) * step;
           Flow flow = exec_body(in.body, f);
           if (flow == Flow::Break) break;
@@ -750,53 +748,9 @@ class Executor {
 
 void fprintf_stream(std::ostream& out, const std::string& fmt,
                     const std::vector<double>& data) {
-  // Same formatting loop as the interpreter (shared output format).
-  size_t next = 0;
-  do {
-    size_t consumed = 0;
-    for (size_t i = 0; i < fmt.size(); ++i) {
-      char c = fmt[i];
-      if (c == '\\' && i + 1 < fmt.size()) {
-        char e = fmt[++i];
-        if (e == 'n') out << '\n';
-        else if (e == 't') out << '\t';
-        else out << e;
-        continue;
-      }
-      if (c != '%') {
-        out << c;
-        continue;
-      }
-      if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
-        out << '%';
-        ++i;
-        continue;
-      }
-      std::string spec = "%";
-      ++i;
-      while (i < fmt.size() && std::string("-+ 0123456789.*").find(fmt[i]) !=
-                                   std::string::npos) {
-        spec += fmt[i++];
-      }
-      if (i >= fmt.size()) break;
-      char conv = fmt[i];
-      spec += conv;
-      double v = next < data.size() ? print_form(data[next]) : 0.0;
-      if (next < data.size()) {
-        ++next;
-        ++consumed;
-      }
-      char buf[128];
-      if (conv == 'd' || conv == 'i') {
-        std::string s2 = spec.substr(0, spec.size() - 1) + "lld";
-        std::snprintf(buf, sizeof buf, s2.c_str(), static_cast<long long>(v));
-      } else {
-        std::snprintf(buf, sizeof buf, spec.c_str(), v);
-      }
-      out << buf;
-    }
-    if (consumed == 0) break;
-  } while (next < data.size());
+  if (char bad = fprintf_format(out, fmt, data)) {
+    fail(std::string("unsupported fprintf conversion '%") + bad + "'");
+  }
 }
 
 void execute_lir(const LProgram& prog, mpi::Comm& comm, std::ostream& out,

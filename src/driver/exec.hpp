@@ -68,11 +68,8 @@ struct ExecOptions {
 void execute_lir(const lower::LProgram& prog, mpi::Comm& comm,
                  std::ostream& out, const ExecOptions& opts = {});
 
-/// The MATLAB-style fprintf rendering loop shared by the execution tiers
-/// (and mirroring the interpreter's): the format string is consumed
-/// repeatedly until the flattened scalar argument stream is exhausted,
-/// backslash escapes and %% are expanded, and %d/%i convert through
-/// long long.
+/// fprintf for the execution tiers: otter::fprintf_format (the loop every
+/// engine shares), with an unsupported conversion raised as an RtError.
 void fprintf_stream(std::ostream& out, const std::string& fmt,
                     const std::vector<double>& data);
 

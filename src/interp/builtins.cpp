@@ -425,73 +425,9 @@ void Interp::do_fprintf(const std::vector<Value>& args, SourceLoc loc) {
     }
   }
 
-  size_t next = 0;
-  bool first_pass = true;
-  do {
-    size_t consumed_this_pass = 0;
-    for (size_t i = 0; i < fmt.size(); ++i) {
-      char c = fmt[i];
-      if (c == '\\' && i + 1 < fmt.size()) {
-        char e = fmt[++i];
-        if (e == 'n') out_ << '\n';
-        else if (e == 't') out_ << '\t';
-        else if (e == '\\') out_ << '\\';
-        else out_ << e;
-        continue;
-      }
-      if (c != '%') {
-        out_ << c;
-        continue;
-      }
-      if (i + 1 < fmt.size() && fmt[i + 1] == '%') {
-        out_ << '%';
-        ++i;
-        continue;
-      }
-      // Collect the conversion spec.
-      std::string spec = "%";
-      ++i;
-      while (i < fmt.size() && std::string("-+ 0123456789.*").find(fmt[i]) !=
-                                   std::string::npos) {
-        spec += fmt[i++];
-      }
-      if (i >= fmt.size()) break;
-      char conv = fmt[i];
-      spec += conv;
-      char buf[128];
-      double v = next < data.size() ? print_form(data[next]) : 0.0;
-      if (next < data.size()) {
-        ++next;
-        ++consumed_this_pass;
-      }
-      switch (conv) {
-        case 'd':
-        case 'i': {
-          std::string s2 = spec.substr(0, spec.size() - 1) + "lld";
-          std::snprintf(buf, sizeof buf, s2.c_str(),
-                        static_cast<long long>(v));
-          break;
-        }
-        case 'f':
-        case 'e':
-        case 'g':
-        case 'E':
-        case 'G':
-          std::snprintf(buf, sizeof buf, spec.c_str(), v);
-          break;
-        case 's':
-          // Only meaningful for string args; print the number otherwise.
-          std::snprintf(buf, sizeof buf, "%g", v);
-          break;
-        default:
-          fail(loc, std::string("unsupported fprintf conversion '%") + conv + "'");
-      }
-      out_ << buf;
-    }
-    first_pass = false;
-    if (consumed_this_pass == 0) break;  // avoid infinite cycling
-  } while (next < data.size());
-  (void)first_pass;
+  if (char bad = fprintf_format(out_, fmt, data)) {
+    fail(loc, std::string("unsupported fprintf conversion '%") + bad + "'");
+  }
 }
 
 }  // namespace otter::interp

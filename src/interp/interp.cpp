@@ -58,7 +58,14 @@ Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& body, Env& env) {
 Interp::Flow Interp::exec_stmt(const Stmt& s, Env& env) {
   switch (s.kind) {
     case StmtKind::ExprStmt: {
-      Value v = eval(*s.expr, env);
+      Value v;
+      if (s.expr->kind == ExprKind::Call) {
+        std::optional<Value> out = call_outputs(*s.expr, env);
+        if (!out) return Flow::Normal;
+        v = std::move(*out);
+      } else {
+        v = eval(*s.expr, env);
+      }
       if (s.display) display("ans", v);
       set_var("ans", std::move(v), env);
       return Flow::Normal;
@@ -316,6 +323,10 @@ std::vector<IndexSpec> Interp::eval_indices(const std::vector<ExprPtr>& args,
 }
 
 Value Interp::eval_call(const Expr& e, Env& env) {
+  return call_outputs(e, env).value_or(Value(0.0));
+}
+
+std::optional<Value> Interp::call_outputs(const Expr& e, Env& env) {
   // Variable shadows functions: a(…) is indexing.
   if (Value* v = find_var(e.name, env)) {
     std::vector<IndexSpec> idx = eval_indices(e.args, *v, env);
@@ -340,7 +351,8 @@ Value Interp::eval_call(const Expr& e, Env& env) {
   }
   if (const BuiltinInfo* b = find_builtin(e.name)) {
     auto outs = call_builtin(*b, std::move(args), 1, e.loc);
-    return outs.empty() ? Value(0.0) : outs[0];
+    if (outs.empty()) return std::nullopt;
+    return outs[0];
   }
   throw InterpError(e.loc, "undefined function or variable '" + e.name + "'");
 }

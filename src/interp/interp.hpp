@@ -8,6 +8,7 @@
 
 #include <functional>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,6 +60,9 @@ class Interp {
 
   Value eval(const Expr& e, Env& env);
   Value eval_call(const Expr& e, Env& env);
+  /// eval_call, but nullopt for a builtin that returns nothing (disp,
+  /// fprintf): such a call neither displays nor sets `ans`.
+  std::optional<Value> call_outputs(const Expr& e, Env& env);
   std::vector<Value> call_user(const Function& fn, std::vector<Value> args,
                                size_t nargout, SourceLoc loc);
   std::vector<Value> call_builtin(const BuiltinInfo& info,

@@ -4,6 +4,8 @@
 #include <functional>
 #include <sstream>
 
+#include "support/range.hpp"
+
 namespace otter::interp {
 
 namespace {
@@ -269,9 +271,11 @@ Value unary_op(UnOp op, const Value& a, SourceLoc loc) {
 }
 
 Value make_range(double lo, double step, double hi, SourceLoc loc) {
+  if (!range_is_finite(lo, step, hi)) {
+    throw InterpError(loc, kRangeNotFiniteMsg, kRangeNotFiniteCode);
+  }
   if (step == 0.0) fail(loc, "range step must be nonzero");
-  double span = (hi - lo) / step;
-  size_t n = span < 0 ? 0 : static_cast<size_t>(std::floor(span + 1e-10)) + 1;
+  size_t n = range_count(lo, step, hi);
   auto out = std::make_shared<Mat>(1, n);
   for (size_t i = 0; i < n; ++i) out->re[i] = lo + static_cast<double>(i) * step;
   return Value(std::move(out));

@@ -213,9 +213,15 @@ class Lowerer {
       }
       case ExprKind::Binary:
         return lower_scalar_binary(e);
-      case ExprKind::Range:
+      case ExprKind::Range: {
         // Only reachable when inference collapsed the range to one element.
-        return lower_scalar(*e.lhs);
+        // That element is lo + 0 * step, as the interpreter and fill_range
+        // compute it: -0 for lo = -0 only if step < 0, NaN for an infinite
+        // step.
+        LExprPtr step = e.step ? lower_scalar(*e.step) : limm(1);
+        return lbin(EwBin::Add, lower_scalar(*e.lhs),
+                    lbin(EwBin::Mul, limm(0), std::move(step)));
+      }
       case ExprKind::Call:
         return lower_scalar_call(e);
       case ExprKind::Matrix:

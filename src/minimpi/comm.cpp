@@ -333,8 +333,8 @@ void Comm::send(int dst, int tag, const void* data, size_t bytes) {
   detail::Message msg;
   msg.src = rank_;
   msg.tag = tag;
-  msg.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
+  const auto* bytes_in = static_cast<const std::byte*>(data);
+  msg.payload.assign(bytes_in, bytes_in + bytes);
   if (p.shared_medium && !p.same_node(rank_, dst)) {
     // Half-duplex shared Ethernet: the sender occupies the wire for the full
     // transfer, so back-to-back sends serialize at the sender.

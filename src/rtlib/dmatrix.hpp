@@ -25,6 +25,7 @@
 #include "minimpi/comm.hpp"
 #include "rtlib/layout.hpp"
 #include "support/governor.hpp"
+#include "support/range.hpp"
 #include "support/snapshot.hpp"
 #include "support/source.hpp"
 
@@ -222,6 +223,12 @@ DMat fill_eye(mpi::Comm& comm, size_t rows, size_t cols,
               Dist dist = Dist::RowBlock);
 DMat fill_value(mpi::Comm& comm, size_t rows, size_t cols, double v,
                 Dist dist = Dist::RowBlock);
+
+/// Element count of lo:step:hi, the one extent rule behind fill_range and
+/// the compiled for-loops. Throws RtError [E5008] for an Inf or NaN bound or
+/// a NaN step, [E5001] for a zero step and [E5007] for a count no matrix
+/// can hold.
+size_t checked_range_count(double lo, double step, double hi);
 
 /// lo : step : hi as a distributed row vector.
 DMat fill_range(mpi::Comm& comm, double lo, double step, double hi,

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <unordered_set>
 
 #include "frontend/builtins.hpp"
 #include "support/matio.hpp"
+#include "support/range.hpp"
 
 namespace otter::sema {
 
@@ -389,9 +391,14 @@ class Inferencer {
         auto chi = const_value(*e.rhs);
         std::optional<double> cst =
             e.step ? const_value(*e.step) : std::optional<double>(1.0);
-        if (clo && chi && cst && *cst != 0.0) {
-          double span = (*chi - *clo) / *cst;
-          n = span < 0 ? 0 : static_cast<long>(std::floor(span + 1e-10)) + 1;
+        // A non-finite range fails at run time (E5008); its extent stays
+        // unknown here rather than a cast of Inf or NaN.
+        if (clo && chi && cst && *cst != 0.0 &&
+            range_is_finite(*clo, *cst, *chi)) {
+          size_t count = range_count(*clo, *cst, *chi);
+          if (count <= static_cast<size_t>(std::numeric_limits<long>::max())) {
+            n = static_cast<long>(count);
+          }
         }
         return remember(e, shaped(t, 1, n));
       }

@@ -116,6 +116,7 @@ const std::vector<DiagCodeInfo> kRegistry = {
   {"E5005", "E50", kRuntime, "torn or corrupt checkpoint detected (recovered from an older generation when possible)"},
   {"E5006", "E50", kRuntime, "memory budget exceeded"},
   {"E5007", "E50", kRuntime, "invalid matrix dimensions (negative, non-finite, or overflow-prone)"},
+  {"E5008", "E50", kRuntime, "range with an Inf or NaN bound or a NaN step"},
 
   {"E6001", "E60", kVerify,  "reference to an undeclared variable"},
   {"E6002", "E60", kVerify,  "compiler temporary used before definition"},

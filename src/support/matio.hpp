@@ -11,6 +11,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,17 @@ namespace otter {
 inline double print_form(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
 }
+
+/// MATLAB fprintf, the one formatting loop of every engine: expands the
+/// backslash escapes \n and \t and %%, and cycles `fmt` until `data` is
+/// exhausted (a missing value prints as 0). %d and %i print through long
+/// long, except NaN, Inf and -Inf, which print as those words in the spec's
+/// field width, and finite values beyond long long, which print as %e like
+/// MATLAB (the cast would be undefined for both); %f %e %g %E %G print through
+/// printf; %s prints a number as %g. Stops at any other conversion and
+/// returns its character, or returns '\0' when the format printed in full.
+char fprintf_format(std::ostream& out, const std::string& fmt,
+                    const std::vector<double>& data);
 
 struct MatFile {
   size_t rows = 0;

@@ -508,11 +508,7 @@ class Vm {
       double lo = f.s[t[3]];
       double step = f.s[t[4]];
       double hi = f.s[t[5]];
-      if (step == 0.0) fail("for-loop step must be nonzero");
-      double span = (hi - lo) / step;
-      long n =
-          span < 0 ? 0 : static_cast<long>(std::floor(span + 1e-10)) + 1;
-      f.s[t[1]] = static_cast<double>(n);
+      f.s[t[1]] = static_cast<double>(rt::checked_range_count(lo, step, hi));
       f.s[t[0]] = 0.0;
     }
     OVM_NEXT();

@@ -23,9 +23,11 @@
 //      communication) are compile-checked but never executed: the flagged
 //      divergence really deadlocks.
 //   5. IEEE generator: seeded scripts whose element-wise chains, scalar
-//      chains and small matmuls run over Inf, -Inf, NaN, -0 and subnormals
-//      (written as literals, 1/0 and 0/0), printed at %.17g and diffed like
-//      check 3: interpreter vs tree -O0, tree -O2 and VM -O2 at np=1/3.
+//      chains, small matmuls, min/max reductions, %d prints and ranges run
+//      over Inf, -Inf, NaN, -0 and subnormals (written as literals, 1/0 and
+//      0/0), printed at %.17g and %d and diffed like check 3: interpreter vs
+//      tree -O0, tree -O2 and VM -O2 at np=1/3. A range with a non-finite
+//      bound must fail with the same diagnostic code on every leg.
 //
 // Usage:
 //   otterfuzz [--seeds=LO:HI] [--mutations=N] [--corpus=DIR] [--no-diff]
@@ -54,6 +56,7 @@
 
 #include "analysis/verify.hpp"
 #include "driver/pipeline.hpp"
+#include "interp/value.hpp"
 #include "support/rng.hpp"
 
 #ifndef OTTER_FUZZ_CORPUS_DIR
@@ -271,10 +274,19 @@ std::vector<fs::path> list_scripts(const fs::path& dir) {
 
 /// Runs `source` through the interpreter and the compiled direct executor at
 /// np=1 and np=3; returns a problem description, or empty when all agree.
-std::string diff_one(const std::string& source) {
+/// With `coded_failure_ok`, an interpreter run that fails with a coded
+/// diagnostic is a legitimate outcome, which every leg must then reproduce
+/// with the same code.
+std::string diff_one(const std::string& source, bool coded_failure_ok = false) {
   std::string interp_out;
+  std::string interp_code;  // the interpreter's failure code, if it failed
   try {
     interp_out = otter::driver::run_interpreter(source, {}, 1).output;
+  } catch (const otter::interp::InterpError& e) {
+    if (!coded_failure_ok) {
+      return std::string("interpreter failed: ") + e.what();
+    }
+    interp_code = e.code();
   } catch (const std::exception& e) {
     return std::string("interpreter failed: ") + e.what();
   }
@@ -313,10 +325,23 @@ std::string diff_one(const std::string& source) {
       try {
         auto run = otter::driver::run_parallel(compiled[leg.level]->lir,
                                                profile, np, eopts);
+        if (!interp_code.empty()) {
+          return "np=" + std::to_string(np) + leg.tag +
+                 " ran to completion where the interpreter failed with " +
+                 interp_code;
+        }
         if (run.output != interp_out) {
           return "np=" + std::to_string(np) + leg.tag +
                  " output diverges from the interpreter\n--- interp ---\n" +
                  interp_out + "--- direct ---\n" + run.output;
+        }
+      } catch (const otter::mpi::SpmdFailure& e) {
+        if (interp_code.empty() || e.first().code != interp_code) {
+          return "np=" + std::to_string(np) + leg.tag + " execution failed [" +
+                 e.first().code + "] where the interpreter " +
+                 (interp_code.empty() ? std::string("succeeded")
+                                      : "failed with " + interp_code) +
+                 ": " + e.what();
         }
       } catch (const std::exception& e) {
         return "np=" + std::to_string(np) + leg.tag +
@@ -373,9 +398,12 @@ std::string gen_guard_script(uint64_t seed) {
 /// A random script over IEEE specials: three same-length operands and a
 /// special scalar feed element-wise chains (one element makes them scalar
 /// statements), then a small matmul and matvec whose zero-heavy left
-/// operand meets Inf and NaN in the right one. sqrt, log and ^ only see
-/// abs() arguments, so every engine stays real-valued (the interpreter
-/// would go complex). Nothing is summed: a sum's order depends on np.
+/// operand meets Inf and NaN in the right one, min/max reductions and %d
+/// prints of the results, and last, sometimes, a range or a for-loop whose
+/// bounds or step may be Inf or NaN (the script then fails with E5008 on
+/// every engine). sqrt, log and ^ only see abs() arguments, so every engine
+/// stays real-valued (the interpreter would go complex). Nothing is summed:
+/// a sum's order depends on np.
 std::string gen_ieee_script(uint64_t seed) {
   Lcg rng(seed * 0xd1342543de82ef95ULL + 11);
   auto pick = [&](size_t n) {
@@ -447,6 +475,35 @@ std::string gen_ieee_script(uint64_t seed) {
   s += "A = " + mat(k, true) + ";\nB = " + mat(k, false) + ";\nw = " +
        mat(1, false) + ";\nC = A * B;\nv = A * w;\n"
        "fprintf('%.17g\\n', C);\nfprintf('%.17g\\n', v);\n";
+  // min/max: of a vector, of a matrix (column-wise), and of a reduction.
+  const char* const kRed[] = {"min", "max"};
+  const char* const kRedArg[] = {"x", "y", "r0", "r1", "C", "B", "v"};
+  for (int i = 0; i < 2; ++i) {
+    s += std::string("fprintf('%.17g\\n', ") + kRed[pick(2)] + "(" +
+         kRedArg[pick(7)] + "));\n";
+  }
+  s += std::string("fprintf('%.17g\\n', ") + kRed[pick(2)] + "(" +
+       kRed[pick(2)] + "(" + kRedArg[pick(7)] + ")));\n";
+  // %d and %i of values that may be NaN, Inf, huge or fractional.
+  const char* const kIntSpec[] = {"%d", "%i", "%5d", "%-6i", "%+d", "%03d"};
+  s += std::string("fprintf('") + kIntSpec[pick(6)] + "|" + kIntSpec[pick(6)] +
+       "\\n', " + kRedArg[pick(7)] + ", " + expr(1) + ");\n";
+  // A range or loop header with possibly non-finite bounds and step. Bounds
+  // are small or non-finite, so a finite range has a handful of elements.
+  if (rng.next() < 0.5) {
+    const char* const kBound[] = {"-2", "0.5", "3", "0", "-0", "1 / 0",
+                                  "-1 / 0", "0 / 0"};
+    const char* const kStep[] = {"0.5", "-1", "2", "1 / 0", "-1 / 0",
+                                 "0 / 0"};
+    std::string range = std::string("(") + kBound[pick(8)] + "):";
+    if (rng.next() < 0.5) range += std::string("(") + kStep[pick(6)] + "):";
+    range += std::string("(") + kBound[pick(8)] + ")";
+    if (rng.next() < 0.5) {
+      s += "q = " + range + ";\nfprintf('%d %.17g\\n', numel(q), q);\n";
+    } else {
+      s += "for t = " + range + "\n  fprintf('%.17g\\n', t);\nend\n";
+    }
+  }
   return s;
 }
 
@@ -644,7 +701,7 @@ int main(int argc, char** argv) {
   for (uint64_t seed = 0; seed < opt.ieee; ++seed) {
     std::string script = gen_ieee_script(seed);
     ++stats.inputs;
-    std::string problem = diff_one(script);
+    std::string problem = diff_one(script, /*coded_failure_ok=*/true);
     if (!problem.empty()) {
       ++stats.failures;
       std::cerr << "otterfuzz: FAIL [ieee] seed " << seed << ": " << problem
