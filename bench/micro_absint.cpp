@@ -57,7 +57,6 @@ long count_guards(const std::vector<lower::LInstrPtr>& body) {
 Measured run_level(int level) {
   driver::CompileOptions copts;
   copts.opt.level = level;
-  copts.lower.dse = level > 0;
   auto compiled = driver::compile_script(kGuardScript, {}, copts);
   if (!compiled->ok) {
     std::cerr << "micro_absint: compile failed:\n"

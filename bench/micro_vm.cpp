@@ -6,8 +6,7 @@
 //     LIR, executed by the tree walker and by the bytecode VM. Both tiers
 //     use compiled kernels, so the delta is purely what the VM buys:
 //     pre-resolved register slots instead of per-operand name-map lookups,
-//     flat dispatch instead of recursive tree walking, and the GetEl/SetEl
-//     inline caches.
+//     and flat dispatch instead of recursive tree walking.
 //   * micro_vm_fig2 — the paper's four applications at p=1: the tree
 //     executor in its reference configuration (-O0 LIR, per-element tree
 //     walking — the differential-fuzzing oracle tier) vs the VM on the
@@ -30,8 +29,8 @@ using namespace otter::bench;
 // Scalar-dense double loop with element touches at the rep boundary. The
 // inner loop is pure per-statement dispatch — the tree walker pays hash-map
 // name lookups plus AST-node recursion per operand, the VM one indexed
-// register read — while the per-rep GetEl/SetEl keep the element inline
-// caches in play. Element reads inside the hot loop would dilute the
+// register read — while the per-rep GetEl/SetEl keep element access in
+// play. Element reads inside the hot loop would dilute the
 // exhibit: a distributed-element access costs the same owner bookkeeping in
 // both tiers, and dispatch is what this exhibit isolates.
 const char* kDispatchScript = R"(reps = 24;

@@ -9,6 +9,7 @@
 
 #include "analysis/dataflow.hpp"
 #include "frontend/builtins.hpp"
+#include "lower/query.hpp"
 
 namespace otter::analysis {
 
@@ -323,88 +324,20 @@ class Linter {
     }
   }
 
-  static bool is_comm_read(LOp op) {
-    switch (op) {
-      case LOp::MatMul:
-      case LOp::MatVec:
-      case LOp::VecMat:
-      case LOp::OuterProd:
-      case LOp::TransposeOp:
-      case LOp::DotProd:
-      case LOp::Reduce:
-      case LOp::Colwise:
-      case LOp::Norm:
-      case LOp::Trapz:
-      case LOp::GetElem:
-      case LOp::ExtractRowOp:
-      case LOp::ExtractColOp:
-      case LOp::SliceVec:
-      case LOp::LoadFile:
-        return true;
-      default:
-        return false;
-    }
-  }
-
-  static void tree_reads(const lower::LExpr& e,
-                         std::unordered_set<std::string>& reads, bool* impure) {
-    switch (e.kind) {
-      case lower::LExpr::Kind::ScalarVar:
-      case lower::LExpr::Kind::MatVar:
-      case lower::LExpr::Kind::RowsOf:
-      case lower::LExpr::Kind::ColsOf:
-      case lower::LExpr::Kind::NumelOf:
-        reads.insert(e.var);
-        break;
-      case lower::LExpr::Kind::RandScalar:
-        // Advances the shared random sequence: never loop-invariant.
-        if (impure) *impure = true;
-        break;
-      default:
-        break;
-    }
-    if (e.a) tree_reads(*e.a, reads, impure);
-    if (e.b) tree_reads(*e.b, reads, impure);
-  }
-
-  static void instr_reads(const LInstr& in,
-                          std::unordered_set<std::string>& reads,
-                          bool* impure) {
-    for (const LOperand& o : in.args) {
-      if (o.is_matrix) reads.insert(o.mat);
-      if (o.scalar) tree_reads(*o.scalar, reads, impure);
-    }
-    if (in.tree) tree_reads(*in.tree, reads, impure);
-  }
-
-  /// Every name a loop body (re)defines or mutates on some iteration.
-  static void collect_loop_defs(const std::vector<LInstrPtr>& body,
-                                std::unordered_set<std::string>& defs) {
-    for (const LInstrPtr& ip : body) {
-      const LInstr& in = *ip;
-      if (!in.dst.empty()) defs.insert(in.dst);
-      if (!in.sdst.empty()) defs.insert(in.sdst);
-      for (const lower::LVarDecl& d : in.call_dsts) defs.insert(d.name);
-      if (in.op == LOp::ForOp) defs.insert(in.loop_var);
-      for (const lower::LIfArm& arm : in.arms) collect_loop_defs(arm.body, defs);
-      collect_loop_defs(in.body, defs);
-    }
-  }
-
   /// W3207: a communicating run-time call inside a loop, all of whose
   /// operands are defined outside it — the call repeats identical
   /// communication every iteration and can be hoisted.
   void walk_comm(const std::vector<LInstrPtr>& body,
-                 const std::vector<const std::unordered_set<std::string>*>&
-                     loop_defs) {
+                 const std::vector<const lower::NameSet*>& loop_defs) {
     for (const LInstrPtr& ip : body) {
       const LInstr& in = *ip;
-      if (!loop_defs.empty() && is_comm_read(in.op)) {
-        std::unordered_set<std::string> reads;
-        bool impure = false;
-        instr_reads(in, reads, &impure);
-        const std::unordered_set<std::string>& inner = *loop_defs.back();
-        bool invariant = !impure;
+      if (!loop_defs.empty() &&
+          (lower::is_comm_read(in.op) || in.op == LOp::LoadFile)) {
+        lower::NameSet reads;
+        lower::instr_reads(in, reads);
+        const lower::NameSet& inner = *loop_defs.back();
+        // A rand draw advances the shared sequence: never loop-invariant.
+        bool invariant = !lower::any_tree_has_rand(in);
         for (const std::string& r : reads) {
           if (inner.contains(r)) {
             invariant = false;
@@ -436,8 +369,8 @@ class Linter {
       }
       for (const lower::LIfArm& arm : in.arms) walk_comm(arm.body, loop_defs);
       if (in.op == LOp::WhileOp || in.op == LOp::ForOp) {
-        auto defs = std::make_unique<std::unordered_set<std::string>>();
-        collect_loop_defs(in.body, *defs);
+        auto defs = std::make_unique<lower::NameSet>();
+        lower::collect_defs(in.body, *defs);
         if (in.op == LOp::ForOp) defs->insert(in.loop_var);
         auto nested = loop_defs;
         nested.push_back(defs.get());

@@ -7,7 +7,6 @@
 // helpers whose behaviour must match the interpreter byte-for-byte.
 #pragma once
 
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -77,9 +76,9 @@ inline void ML_set_linear(Ctx& ctx, rt::DMat& m, size_t k, double v) {
 
 inline void ML_display_scalar(Ctx& ctx, const char* name, double v) {
   if (ctx.comm.rank() != 0) return;
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
-  ctx.out << name << " =\n" << buf << '\n';
+  ctx.out << name << " =\n";
+  print_real(ctx.out, v);
+  ctx.out << '\n';
 }
 
 inline void ML_display_matrix(Ctx& ctx, const char* name, const rt::DMat& m) {
@@ -106,9 +105,8 @@ inline void ML_shape_check(const rt::DMat& m, const char* what,
 
 inline void ML_disp_scalar(Ctx& ctx, double v) {
   if (ctx.comm.rank() != 0) return;
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
-  ctx.out << buf << '\n';
+  print_real(ctx.out, v);
+  ctx.out << '\n';
 }
 
 inline void ML_disp_string(Ctx& ctx, const char* s) {

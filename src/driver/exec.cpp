@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <unordered_map>
 #include <vector>
@@ -600,9 +599,9 @@ class Executor {
         } else {
           double v = operand_scalar(in.args[1], f);
           if (comm_.rank() == 0) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
-            out_ << name << " =\n" << buf << '\n';
+            out_ << name << " =\n";
+            print_real(out_, v);
+            out_ << '\n';
           }
         }
         return Flow::Normal;
@@ -617,9 +616,8 @@ class Executor {
         } else {
           double v = operand_scalar(o, f);
           if (comm_.rank() == 0) {
-            char buf[64];
-            std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
-            out_ << buf << '\n';
+            print_real(out_, v);
+            out_ << '\n';
           }
         }
         return Flow::Normal;

@@ -55,8 +55,8 @@ struct ExecOptions {
   /// once before spawning ranks; when null and the VM is selected,
   /// execute_lir compiles one privately.
   const vm::BcModule* bytecode = nullptr;
-  /// Optional inline-cache counter sink for the VM tier (shared across
-  /// ranks; flushed once per rank at run end).
+  /// Optional run-counter sink for the VM tier (shared across ranks;
+  /// flushed once per rank at run end).
   vm::VmStats* vm_stats = nullptr;
 };
 

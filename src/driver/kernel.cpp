@@ -6,18 +6,13 @@
 #include <unordered_map>
 #include <utility>
 
+#include "lower/query.hpp"
+
 namespace otter::driver {
 
 namespace {
 
 using lower::LExpr;
-
-bool has_rand(const LExpr& e) {
-  if (e.kind == LExpr::Kind::RandScalar) return true;
-  if (e.a && has_rand(*e.a)) return true;
-  if (e.b && has_rand(*e.b)) return true;
-  return false;
-}
 
 struct Builder {
   Kernel k;
@@ -208,7 +203,7 @@ void Kernel::run(double* dst, const double* const* mat_ptrs,
 }
 
 Kernel compile_kernel(const lower::LExpr& tree) {
-  if (has_rand(tree)) {
+  if (lower::tree_has_rand(tree)) {
     Kernel k;
     k.ok = false;
     return k;

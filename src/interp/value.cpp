@@ -95,15 +95,13 @@ std::string type_name(const Value& v) {
 
 namespace {
 void format_number(std::ostream& os, double re, double im, bool is_complex) {
-  // %.6g — shared with rtlib's print so outputs diff cleanly.
-  char buf[64];
+  // The real part prints like every compiled engine's display.
+  print_real(os, re);
   if (is_complex && im != 0.0) {
-    std::snprintf(buf, sizeof buf, "%.6g%+.6gi", print_form(re),
-                  print_form(im));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.6g", print_form(re));
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%+.6gi", print_form(im));
+    os << buf;
   }
-  os << buf;
 }
 }  // namespace
 

@@ -55,7 +55,6 @@ class Lowerer {
     types_ = nullptr;
     cur_body_ = nullptr;
     if (opts_.peephole) run_peephole(out);
-    if (opts_.dse) run_dse(out);
     return out;
   }
 

@@ -17,10 +17,6 @@ struct LowerOptions {
   /// Shared per-compilation resource gate; lowering stops emitting once the
   /// LIR instruction or wall-clock budget is exhausted. May be null.
   BudgetGate* budget = nullptr;
-  /// Liveness-driven dead-statement elimination over the lowered IR.
-  /// Off by default so golden-LIR tests see every emitted instruction;
-  /// otterc enables it for user-facing compiles.
-  bool dse = false;
 };
 
 /// Lowers the resolved, inferred program into LIR. Reports constructs
@@ -30,10 +26,5 @@ LProgram lower_program(Program& prog, const sema::InferResult& inf,
 
 /// The peephole pass in isolation (exposed for tests and the ablation).
 void run_peephole(LProgram& prog);
-
-/// Liveness-driven dead-statement elimination in isolation (exposed for
-/// tests). Removes pure instructions whose results no later statement or
-/// observable output can read. Returns the number of instructions removed.
-size_t run_dse(LProgram& prog);
 
 }  // namespace otter::lower

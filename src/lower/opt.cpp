@@ -19,137 +19,18 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
+
+#include "lower/query.hpp"
 
 namespace otter::lower {
 
 namespace {
 
-using Set = std::unordered_set<std::string>;
+using Set = NameSet;
 
-// -- tree / instruction queries (mirrors dse.cpp's local helpers) -------------
-
-bool tree_has_rand(const LExpr& e) {
-  if (e.kind == LExpr::Kind::RandScalar) return true;
-  if (e.a && tree_has_rand(*e.a)) return true;
-  if (e.b && tree_has_rand(*e.b)) return true;
-  return false;
-}
-
-void tree_vars(const LExpr* e, Set& out) {
-  if (e == nullptr) return;
-  switch (e->kind) {
-    case LExpr::Kind::ScalarVar:
-    case LExpr::Kind::MatVar:
-    case LExpr::Kind::RowsOf:
-    case LExpr::Kind::ColsOf:
-    case LExpr::Kind::NumelOf:
-      out.insert(e->var);
-      break;
-    default:
-      break;
-  }
-  tree_vars(e->a.get(), out);
-  tree_vars(e->b.get(), out);
-}
-
-/// Reads of one instruction, excluding control-flow children (conditions,
-/// bounds and nested bodies are handled by the structured walks).
-void instr_reads(const LInstr& in, Set& out) {
-  for (const LOperand& o : in.args) {
-    if (o.is_matrix) out.insert(o.mat);
-    tree_vars(o.scalar.get(), out);
-  }
-  tree_vars(in.tree.get(), out);
-  for (const auto& row : in.literal_rows) {
-    for (const LExprPtr& e : row) tree_vars(e.get(), out);
-  }
-}
-
-/// In-place matrix mutations: the destination is read-modify-write.
-bool is_rmw(LOp op) {
-  switch (op) {
-    case LOp::SetElem:
-    case LOp::AssignRowOp:
-    case LOp::AssignColOp:
-    case LOp::AssignSliceOp:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool any_tree_has_rand(const LInstr& in) {
-  for (const LOperand& o : in.args) {
-    if (o.scalar && tree_has_rand(*o.scalar)) return true;
-  }
-  if (in.tree && tree_has_rand(*in.tree)) return true;
-  for (const auto& row : in.literal_rows) {
-    for (const LExprPtr& e : row) {
-      if (e && tree_has_rand(*e)) return true;
-    }
-  }
-  return false;
-}
-
-/// Whether the instruction may be deleted when its results are unread
-/// (same whitelist as DSE: pure, and never advances the random sequence).
-bool removable(const LInstr& in) {
-  switch (in.op) {
-    case LOp::MatMul:
-    case LOp::MatVec:
-    case LOp::VecMat:
-    case LOp::OuterProd:
-    case LOp::TransposeOp:
-    case LOp::DotProd:
-    case LOp::Reduce:
-    case LOp::Colwise:
-    case LOp::Norm:
-    case LOp::Trapz:
-    case LOp::GetElem:
-    case LOp::ExtractRowOp:
-    case LOp::ExtractColOp:
-    case LOp::SliceVec:
-    case LOp::FillZeros:
-    case LOp::FillOnes:
-    case LOp::FillEye:
-    case LOp::FillRange:
-    case LOp::FillLinspace:
-    case LOp::FromLiteral:
-    case LOp::CopyMat:
-    case LOp::Elemwise:
-    case LOp::ScalarAssign:
-      return !any_tree_has_rand(in);
-    default:
-      return false;
-  }
-}
-
-/// Pure communication reads: the run-time calls the optimizer may CSE or
-/// hoist. The W3207 set minus LoadFile (I/O stays where it was written).
-bool is_comm_read(LOp op) {
-  switch (op) {
-    case LOp::MatMul:
-    case LOp::MatVec:
-    case LOp::VecMat:
-    case LOp::OuterProd:
-    case LOp::TransposeOp:
-    case LOp::DotProd:
-    case LOp::Reduce:
-    case LOp::Colwise:
-    case LOp::Norm:
-    case LOp::Trapz:
-    case LOp::GetElem:
-    case LOp::ExtractRowOp:
-    case LOp::ExtractColOp:
-    case LOp::SliceVec:
-      return true;
-    default:
-      return false;
-  }
-}
+// -- structural queries the passes share --------------------------------------
 
 bool is_control(LOp op) {
   switch (op) {
@@ -162,23 +43,6 @@ bool is_control(LOp op) {
       return true;
     default:
       return false;
-  }
-}
-
-/// Names defined by one instruction (nested bodies excluded).
-void instr_defs(const LInstr& in, Set& out) {
-  if (!in.dst.empty()) out.insert(in.dst);
-  if (!in.sdst.empty()) out.insert(in.sdst);
-  for (const LVarDecl& d : in.call_dsts) out.insert(d.name);
-  if (!in.loop_var.empty()) out.insert(in.loop_var);
-}
-
-/// All names defined anywhere under `body`, nested control flow included.
-void collect_defs(const std::vector<LInstrPtr>& body, Set& out) {
-  for (const LInstrPtr& ip : body) {
-    instr_defs(*ip, out);
-    for (const LIfArm& arm : ip->arms) collect_defs(arm.body, out);
-    collect_defs(ip->body, out);
   }
 }
 
@@ -210,13 +74,7 @@ bool body_has_jump(const std::vector<LInstrPtr>& body, bool top) {
 /// nested body (the "does anything in here read `t`" query).
 bool reads_name(const LInstr& in, const std::string& t) {
   Set r;
-  instr_reads(in, r);
-  if (is_rmw(in.op) && !in.dst.empty()) r.insert(in.dst);
-  for (const LIfArm& arm : in.arms) tree_vars(arm.cond.get(), r);
-  tree_vars(in.cond.get(), r);
-  tree_vars(in.lo.get(), r);
-  tree_vars(in.step.get(), r);
-  tree_vars(in.hi.get(), r);
+  header_reads(in, r);
   if (r.contains(t)) return true;
   for (const LIfArm& arm : in.arms) {
     for (const LInstrPtr& ip : arm.body) {
@@ -228,26 +86,6 @@ bool reads_name(const LInstr& in, const std::string& t) {
   }
   return false;
 }
-
-/// All names read anywhere in a body (recursively), rmw targets included —
-/// the "is this definition observable" set for the sweep.
-void collect_ever_read(const std::vector<LInstrPtr>& body, Set& out) {
-  for (const LInstrPtr& ip : body) {
-    const LInstr& in = *ip;
-    instr_reads(in, out);
-    if (is_rmw(in.op) && !in.dst.empty()) out.insert(in.dst);
-    for (const LIfArm& arm : in.arms) {
-      tree_vars(arm.cond.get(), out);
-      collect_ever_read(arm.body, out);
-    }
-    tree_vars(in.cond.get(), out);
-    tree_vars(in.lo.get(), out);
-    tree_vars(in.step.get(), out);
-    tree_vars(in.hi.get(), out);
-    collect_ever_read(in.body, out);
-  }
-}
-
 // -- copy propagation ---------------------------------------------------------
 
 /// Forward, per-straight-line-block propagation of CopyMat aliases: a read
@@ -537,13 +375,7 @@ class Fuser {
     for (const LInstrPtr& ip : body) {
       const LInstr& in = *ip;
       Set r;
-      instr_reads(in, r);
-      if (is_rmw(in.op) && !in.dst.empty()) r.insert(in.dst);
-      for (const LIfArm& arm : in.arms) tree_vars(arm.cond.get(), r);
-      tree_vars(in.cond.get(), r);
-      tree_vars(in.lo.get(), r);
-      tree_vars(in.step.get(), r);
-      tree_vars(in.hi.get(), r);
+      header_reads(in, r);
       for (const std::string& n : r) readers[n].push_back(&in);
       for (const LIfArm& arm : in.arms) add_readers(arm.body, readers);
       add_readers(in.body, readers);
@@ -836,48 +668,162 @@ class GuardElim {
   const std::vector<GuardProof>& proofs_;
   bool delete_;
 };
+// -- dead-store elimination ---------------------------------------------------
 
-// -- unread-definition sweep --------------------------------------------------
-
-/// Conservative cleanup: removes pure definitions whose target no
-/// instruction in the whole scope ever reads (weaker than DSE's positional
-/// liveness, so user-visible variables that are merely printed later always
-/// survive — printing reads them). Iterated to a fixpoint so alias chains
-/// freed by copy propagation unravel completely.
-size_t sweep_body(std::vector<LInstrPtr>& body, const Set& reads,
-                  const Set& protect) {
-  size_t removed = 0;
-  for (size_t i = body.size(); i-- > 0;) {
-    LInstr& in = *body[i];
-    for (LIfArm& arm : in.arms) removed += sweep_body(arm.body, reads, protect);
-    removed += sweep_body(in.body, reads, protect);
-    bool defines = !in.dst.empty() || !in.sdst.empty();
-    if (!defines || !removable(in)) continue;
-    if (!in.dst.empty() &&
-        (reads.contains(in.dst) || protect.contains(in.dst))) {
-      continue;
-    }
-    if (!in.sdst.empty() &&
-        (reads.contains(in.sdst) || protect.contains(in.sdst))) {
-      continue;
-    }
-    body.erase(body.begin() + static_cast<ptrdiff_t>(i));
-    ++removed;
+/// Liveness-driven dead-statement elimination over one scope. A removable
+/// instruction (query.hpp) whose results no later statement or observable
+/// output can read is deleted, so the SPMD ranks' communication schedule
+/// and the random stream change only by whole dead run-time calls.
+///
+/// Liveness runs backward over the structured LIR directly (no CFG needed):
+/// loops iterate a read-only transfer to a fixpoint before the mutating
+/// pass, and a break/continue/return conservatively revives every name the
+/// scope ever reads.
+class Dse {
+ public:
+  /// `outs` are the names observable when the scope ends: a function's
+  /// outputs, nothing for the script (whose results are what it prints).
+  size_t run(std::vector<LInstrPtr>& body, const Set& outs) {
+    collect_ever_read(body, ever_read_);
+    ever_read_.insert(outs.begin(), outs.end());
+    Set live = outs;
+    process(body, live);
+    return removed_;
   }
-  return removed;
-}
 
-size_t sweep_scope(std::vector<LInstrPtr>& body, const Set& protect) {
-  size_t removed = 0;
-  for (int round = 0; round < 8; ++round) {
-    Set reads;
-    collect_ever_read(body, reads);
-    size_t got = sweep_body(body, reads, protect);
-    removed += got;
-    if (got == 0) break;
+ private:
+  /// Backward transfer of one non-control instruction over `live`.
+  static void transfer(const LInstr& in, Set& live) {
+    if (!is_rmw(in.op)) {
+      if (!in.dst.empty()) live.erase(in.dst);
+      if (!in.sdst.empty()) live.erase(in.sdst);
+      for (const LVarDecl& d : in.call_dsts) live.erase(d.name);
+    } else if (!in.dst.empty()) {
+      live.insert(in.dst);
+    }
+    instr_reads(in, live);
   }
-  return removed;
-}
+
+  /// Non-mutating backward liveness over a body (used to reach the loop
+  /// fixpoint before any removal decision inside the loop is made).
+  void scan(const std::vector<LInstrPtr>& body, Set& live) {
+    for (size_t i = body.size(); i-- > 0;) {
+      const LInstr& in = *body[i];
+      switch (in.op) {
+        case LOp::IfOp: {
+          Set merged = has_else(in) ? Set{} : live;
+          for (const LIfArm& arm : in.arms) {
+            Set l = live;
+            scan(arm.body, l);
+            merged.insert(l.begin(), l.end());
+            tree_vars(arm.cond.get(), merged);
+          }
+          live = std::move(merged);
+          break;
+        }
+        case LOp::WhileOp:
+        case LOp::ForOp: {
+          Set entry = loop_entry_live(in, live);
+          live.insert(entry.begin(), entry.end());
+          add_loop_header_reads(in, live);
+          break;
+        }
+        case LOp::BreakOp:
+        case LOp::ContinueOp:
+        case LOp::ReturnOp:
+          live = ever_read_;
+          break;
+        default:
+          transfer(in, live);
+      }
+    }
+  }
+
+  static bool has_else(const LInstr& in) {
+    return !in.arms.empty() && !in.arms.back().cond;
+  }
+
+  static void add_loop_header_reads(const LInstr& in, Set& live) {
+    if (in.op == LOp::WhileOp) {
+      tree_vars(in.cond.get(), live);
+    } else {
+      live.erase(in.loop_var);
+      tree_vars(in.lo.get(), live);
+      tree_vars(in.step.get(), live);
+      tree_vars(in.hi.get(), live);
+    }
+  }
+
+  /// Live-at-body-entry fixpoint for a loop: E = transfer_body(E U after),
+  /// accounting for the back edge re-reading what an iteration needs.
+  Set loop_entry_live(const LInstr& in, const Set& after) {
+    Set entry;
+    for (;;) {
+      Set l = after;
+      l.insert(entry.begin(), entry.end());
+      if (in.op == LOp::ForOp) l.insert(in.loop_var);  // next-iteration def
+      scan(in.body, l);
+      if (in.op == LOp::WhileOp) tree_vars(in.cond.get(), l);
+      if (in.op == LOp::ForOp) l.erase(in.loop_var);
+      bool grew = false;
+      for (const std::string& n : l) {
+        if (entry.insert(n).second) grew = true;
+      }
+      if (!grew) return entry;
+    }
+  }
+
+  /// Mutating backward pass: removes dead pure instructions.
+  void process(std::vector<LInstrPtr>& body, Set& live) {
+    for (size_t i = body.size(); i-- > 0;) {
+      LInstr& in = *body[i];
+      switch (in.op) {
+        case LOp::IfOp: {
+          Set merged = has_else(in) ? Set{} : live;
+          for (LIfArm& arm : in.arms) {
+            Set l = live;
+            process(arm.body, l);
+            merged.insert(l.begin(), l.end());
+            tree_vars(arm.cond.get(), merged);
+          }
+          live = std::move(merged);
+          break;
+        }
+        case LOp::WhileOp:
+        case LOp::ForOp: {
+          Set entry = loop_entry_live(in, live);
+          Set body_live = live;
+          body_live.insert(entry.begin(), entry.end());
+          if (in.op == LOp::WhileOp) tree_vars(in.cond.get(), body_live);
+          process(in.body, body_live);
+          live.insert(entry.begin(), entry.end());
+          add_loop_header_reads(in, live);
+          break;
+        }
+        case LOp::BreakOp:
+        case LOp::ContinueOp:
+        case LOp::ReturnOp:
+          live = ever_read_;
+          break;
+        default: {
+          bool defines = !in.dst.empty() || !in.sdst.empty();
+          bool dead = defines && removable(in) &&
+                      (in.dst.empty() || !live.contains(in.dst)) &&
+                      (in.sdst.empty() || !live.contains(in.sdst));
+          if (dead) {
+            body.erase(body.begin() + static_cast<ptrdiff_t>(i));
+            ++removed_;
+          } else {
+            transfer(in, live);
+          }
+        }
+      }
+    }
+  }
+
+  Set ever_read_;
+  size_t removed_ = 0;
+};
 
 }  // namespace
 
@@ -890,11 +836,16 @@ OptReport run_opt(LProgram& prog, const OptOptions& opts) {
     if (full && opts.cse) CommCse(rep).run(body);
     if (full && opts.fuse) Fuser(rep, body, protect).run();
     if (full && opts.licm) Licm(rep).run(body);
-    // Guard elimination runs before the final copy-prop/sweep so a guard
+    // Guard elimination runs before the final copy-prop/DSE so a guard
     // whose matrix becomes otherwise-unread frees that definition too.
     GuardElim(rep, opts.guard_proofs, full && opts.guard_elim).run(body);
     if (opts.copyprop) CopyProp(rep).run(body);
-    rep.swept += sweep_scope(body, protect);
+    // Repeated to a fixpoint: a removal inside a loop can free definitions
+    // that the loop's liveness, computed before it, still counted as read,
+    // and alias chains freed by copy propagation unravel one link a round.
+    for (size_t got = 1; got != 0; rep.swept += got) {
+      got = Dse().run(body, protect);
+    }
   };
   Set script_protect;
   optimize_scope(prog.script, script_protect);

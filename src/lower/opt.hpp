@@ -4,8 +4,9 @@
 // passes target run-time-library calls: loop-invariant communication is
 // hoisted out of loops (the fix for what lint's W3207 only reports),
 // duplicate communication calls in a block are merged, CopyMat chains are
-// propagated away, and chains of element-wise statements whose intermediate
-// is dead afterwards are fused into one local loop.
+// propagated away, chains of element-wise statements whose intermediate
+// is dead afterwards are fused into one local loop, and pure statements
+// whose results are never read again are deleted.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +27,7 @@ struct GuardProof {
 };
 
 /// Optimizer configuration. Levels: 0 disables everything, 1 enables copy
-/// propagation and the unread-definition sweep, 2 (the compiler default)
+/// propagation and dead-store elimination, 2 (the compiler default)
 /// adds element-wise fusion, communication CSE, communication LICM, and
 /// proof-backed shape-guard elimination.
 struct OptOptions {
@@ -54,7 +55,7 @@ struct OptReport {
   size_t fused = 0;              ///< producer Elemwise folded into consumers
   size_t cse_removed = 0;        ///< duplicate communication calls replaced
   size_t copies_propagated = 0;  ///< reads redirected through CopyMat sources
-  size_t swept = 0;              ///< unread pure definitions removed
+  size_t swept = 0;              ///< dead pure instructions DSE removed
   size_t guards_seen = 0;        ///< ShapeGuard instructions in the input LIR
   /// Guards deleted because an absint proof matched; the verifier
   /// cross-checks each entry against the proof list (E6009).
@@ -67,7 +68,8 @@ struct OptReport {
 };
 
 /// Runs the pass pipeline over `prog` in place:
-///   copy-prop → comm CSE → elemwise fusion → comm LICM → copy-prop → sweep.
+///   copy-prop → comm CSE → elemwise fusion → comm LICM → guard elim →
+///   copy-prop → dead-store elimination (repeated until it removes nothing).
 /// Output re-verifies: hoists are wrapped in a trip-count guard so zero-trip
 /// loops keep their semantics, and hoisted ML_tmp targets are pre-defined so
 /// the verifier's all-paths rule (E6002) still holds.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -1048,13 +1047,10 @@ std::string format_dmat(mpi::Comm& comm, const DMat& m) {
   std::vector<double> full = to_full(comm, m);
   if (comm.rank() != 0) return {};
   std::ostringstream ss;
-  char buf[64];
   for (size_t r = 0; r < m.rows(); ++r) {
     for (size_t c = 0; c < m.cols(); ++c) {
       if (c) ss << ' ';
-      double v = print_form(full[r * m.cols() + c]);
-      std::snprintf(buf, sizeof buf, "%.6g", v);
-      ss << buf;
+      print_real(ss, full[r * m.cols() + c]);
     }
     ss << '\n';
   }

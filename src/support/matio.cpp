@@ -42,6 +42,12 @@ std::string format_integer(const std::string& spec, double v) {
 
 }  // namespace
 
+void print_real(std::ostream& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", print_form(v));
+  out << buf;
+}
+
 char fprintf_format(std::ostream& out, const std::string& fmt,
                     const std::vector<double>& data) {
   size_t next = 0;

@@ -25,6 +25,10 @@ inline double print_form(double v) {
   return std::isnan(v) ? std::numeric_limits<double>::quiet_NaN() : v;
 }
 
+/// How every engine displays one real number (`disp`, `x = ...` and each
+/// element of a displayed matrix): %.6g of its print_form.
+void print_real(std::ostream& out, double v);
+
 /// MATLAB fprintf, the one formatting loop of every engine: expands the
 /// backslash escapes \n and \t and %%, and cycles `fmt` until `data` is
 /// exhausted (a missing value prints as 0). %d and %i print through long

@@ -17,8 +17,8 @@ using lower::LProgram;
 namespace {
 
 /// Compiles one scope (script or function body) into a BcChunk. All pool
-/// state (constants, strings, aux, kernels, trees, statement table, cache
-/// slots) is shared module-wide; register files are per chunk.
+/// state (constants, strings, aux, kernels, trees, statement table) is
+/// shared module-wide; register files are per chunk.
 class ChunkGen {
  public:
   ChunkGen(BcModule& mod, const LProgram& prog) : mod_(mod), prog_(prog) {
@@ -113,8 +113,6 @@ class ChunkGen {
     return id;
   }
 
-  uint32_t cache_slot() { return mod_.cache_slots++; }
-
   // -- emission ----------------------------------------------------------------
 
   [[nodiscard]] uint32_t pc() const {
@@ -122,11 +120,10 @@ class ChunkGen {
   }
 
   uint32_t emit(Op op, uint32_t a = 0, uint32_t b = 0, uint32_t c = 0,
-                uint32_t d = 0, uint8_t flag = 0, uint16_t e = 0) {
+                uint32_t d = 0, uint8_t flag = 0) {
     BcInstr in;
     in.op = op;
     in.flag = flag;
-    in.e = e;
     in.a = a;
     in.b = b;
     in.c = c;
@@ -469,7 +466,7 @@ class ChunkGen {
         if (in.linear) {
           uint32_t k = operand_sreg(in.args[1]);
           if (k == kNoReg) return;
-          emit(Op::GetEl, dst, m, k, 0, 1, cache_slot16());
+          emit(Op::GetEl, dst, m, k, 0, 1);
         } else {
           uint32_t r = operand_sreg(in.args[1]);
           if (r == kNoReg) return;
@@ -487,7 +484,7 @@ class ChunkGen {
           if (k == kNoReg) return;
           uint32_t v = operand_sreg(in.args[1]);
           if (v == kNoReg) return;
-          emit(Op::SetEl, m, k, v, 0, 1, cache_slot16());
+          emit(Op::SetEl, m, k, v, 0, 1);
         } else {
           uint32_t r = operand_sreg(in.args[0]);
           if (r == kNoReg) return;
@@ -664,7 +661,7 @@ class ChunkGen {
         std::string what = in.args.size() > 1 && in.args[1].is_string
                                ? in.args[1].str
                                : "reduction";
-        emit(Op::Guard, m, str(what), cache_slot());
+        emit(Op::Guard, m, str(what));
         return;
       }
       case LOp::IfOp: if_stmt(in); return;
@@ -700,13 +697,6 @@ class ChunkGen {
     uint32_t b = operand_mreg(in.args[1]);
     if (b == kNoReg) return;
     emit(op, dst, a, b);
-  }
-
-  /// 16-bit cache-slot id for GetEl/SetEl (stored in the `e` field). A
-  /// program with more than 64k cache sites falls back to slot-less checks.
-  uint16_t cache_slot16() {
-    if (mod_.cache_slots >= 0xFFFF) return 0xFFFF;
-    return static_cast<uint16_t>(cache_slot());
   }
 
   void call(const LInstr& in) {
@@ -1121,7 +1111,7 @@ void dump_chunk(std::string& out, const BcModule& m, const BcChunk& ch) {
         break;
       case Op::Guard:
         mm(in.a);
-        out += " \"" + m.strings[in.b] + "\" cache=" + std::to_string(in.c);
+        out += " \"" + m.strings[in.b] + '"';
         break;
       case Op::DisplayV:
         out += '"' + m.strings[in.a] + "\" ";

@@ -6,17 +6,15 @@
 // opcodes, pre-resolved register slots (scalar doubles and distributed
 // matrices get per-chunk register files; no name lookups survive into the
 // run), a deduplicated constant pool, resolved jump targets for all
-// structured control flow, and per-site inline-cache slots for the checks
-// that are shape-stable in steady state (ShapeGuard, element-index
-// mapping). The driver's element-wise kernels ride along as bytecode
-// superinstructions (EwKern).
+// structured control flow. The driver's element-wise kernels ride along as
+// bytecode superinstructions (EwKern).
 //
 // A BcModule borrows the LProgram it was compiled from (kernel scalar
 // slots point into the LIR, exactly like driver::Kernel); keep the program
 // alive as long as the module. The module itself is immutable after
 // compile_bytecode returns and may be executed by any number of ranks or
-// requests concurrently — all mutable state (registers, inline caches,
-// the RNG cursor) lives in the per-rank VM (vm.hpp).
+// requests concurrently — all mutable state (registers, the RNG cursor)
+// lives in the per-rank VM (vm.hpp).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +61,8 @@ enum class Op : uint8_t {
   ColwiseM, ///< m[a] = colwise_<flag>(m[b])
   NormS,    ///< s[a] = norm2(m[b])
   TrapzS,   ///< s[a] = trapz(m[b]) or trapz_xy(m[b], m[c]) when flag
-  GetEl,    ///< s[a] = m[b](...); flag bit0 = linear; c,d = index sregs; e = cache
-  SetEl,    ///< m[a](...) = value; flag bit0 = linear; operands b,c,d; e = cache
+  GetEl,    ///< s[a] = m[b](...); flag bit0 = linear; c,d = index sregs
+  SetEl,    ///< m[a](...) = value; flag bit0 = linear; operands b,c,d
   ExtrRow,  ///< m[a] = extract_row(m[b], s[c])
   ExtrCol,  ///< m[a] = extract_col(m[b], s[c])
   AsgnRow,  ///< assign_row(m[a], s[b], m[c])
@@ -82,19 +80,17 @@ enum class Op : uint8_t {
   CopyM,    ///< m[a] = m[b] (deep copy)
   EwKern,   ///< m[a] = kernel k[b] superinstruction
   EwTree,   ///< m[a] = per-element tree t[b] (rand-bearing fallback)
-  Guard,    ///< ShapeGuard on m[a]; b = builtin name S[], c = cache slot
+  Guard,    ///< ShapeGuard on m[a]; b = builtin name S[]
   // -- output ------------------------------------------------------------------
   DisplayV, ///< "name =\n…": a = S[name]; flag ? matrix m[b] : scalar s[b]
   DispV,    ///< disp(): flag 0 = string S[a], 1 = matrix m[a], 2 = scalar s[a]
   Fprintf,  ///< fprintf(S[a], …); A[b] = tagged arg regs, c = #args
 };
 
-/// One fixed-width instruction. `e` is a fifth small operand (inline-cache
-/// slot for GetEl/SetEl, spare elsewhere).
+/// One fixed-width instruction.
 struct BcInstr {
   Op op = Op::Ret;
   uint8_t flag = 0;
-  uint16_t e = 0;
   uint32_t a = 0, b = 0, c = 0, d = 0;
 };
 
@@ -180,7 +176,6 @@ struct BcModule {
   std::vector<KernelEntry> kernels;
   std::vector<TreeEntry> trees;
   std::vector<StmtInfo> stmts;
-  uint32_t cache_slots = 0;
   const lower::LProgram* origin = nullptr;  ///< borrowed; must outlive module
 };
 

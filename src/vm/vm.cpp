@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <vector>
 
@@ -29,27 +28,10 @@ using rt::DMat;
 
 [[noreturn]] void fail(const std::string& msg) { throw rt::RtError(msg); }
 
-/// One inline-cache site. `key` is the largest version of any matrix
-/// register involved when the payload was validated; versions are issued
-/// from a per-VM monotonic counter, so any shape-carrying reassignment of
-/// any involved register makes the stored key stale (max of monotonically
-/// fresh values strictly grows). In-place element writes keep shape and
-/// layout, so they intentionally do not bump versions. key == 0 is the
-/// cold state (versions start at 1).
-struct ICache {
-  uint64_t key = 0;
-  uint64_t cols = 0;  ///< GetEl/SetEl: divisor of the cached linear mapping
-  uint32_t hits = 0;
-  uint8_t disabled = 0;  ///< stats frozen after kStableHits; check stays live
-  uint8_t kind = 0;      ///< GetEl/SetEl: 0 row vec, 1 col vec, 2 row-major
-};
-
-/// Per-activation register file. Matrix registers carry versions for the
-/// inline caches; scalar registers are plain doubles.
+/// Per-activation register file: scalar doubles and distributed matrices.
 struct RFrame {
   std::vector<double> s;
   std::vector<DMat> m;
-  std::vector<uint64_t> ver;
 };
 
 uint32_t find_reg(const std::vector<std::pair<std::string, uint32_t>>& regs,
@@ -71,7 +53,6 @@ class Vm {
         comm_(comm),
         out_(out),
         opts_(opts),
-        caches_(mod.cache_slots),
         poll_deadline_(opts.spmd.has_deadline() || opts.spmd.cancel != nullptr),
         ckpt_interval_(opts.checkpoint != nullptr ? opts.checkpoint->interval()
                                                   : 0) {}
@@ -124,21 +105,12 @@ class Vm {
     return g.next();
   }
 
-  uint64_t next_ver() { return ++ver_counter_; }
-
   void init_frame(RFrame& f, const BcChunk& ch) {
     f.s.assign(ch.nscalar, 0.0);
     f.m.reserve(ch.nmat);
-    f.ver.reserve(ch.nmat);
     for (uint32_t i = 0; i < ch.nmat; ++i) {
       f.m.push_back(rt::fill_zeros(comm_, 0, 0, opts_.dist));
-      f.ver.push_back(next_ver());
     }
-  }
-
-  void setm(RFrame& f, uint32_t reg, DMat&& v) {
-    f.m[reg] = std::move(v);
-    f.ver[reg] = next_ver();
   }
 
   [[nodiscard]] SourceLoc stmt_loc() const {
@@ -164,32 +136,10 @@ class Vm {
     }
   }
 
-  bool ic_hit(ICache& c, uint64_t key) {
-    if (c.key == key) {
-      if (c.disabled == 0) {
-        ++hits_;
-        if (++c.hits >= kStableHits) {
-          c.disabled = 1;
-          ++disabled_;
-        }
-      }
-      return true;
-    }
-    c.key = key;
-    c.hits = 0;
-    c.disabled = 0;  // shape changed: re-arm the site
-    ++misses_;
-    return false;
-  }
-
   void flush_stats() {
     if (opts_.vm_stats == nullptr) return;
-    opts_.vm_stats->cache_hits.fetch_add(hits_, std::memory_order_relaxed);
-    opts_.vm_stats->cache_misses.fetch_add(misses_, std::memory_order_relaxed);
-    opts_.vm_stats->cache_disabled.fetch_add(disabled_,
-                                             std::memory_order_relaxed);
     opts_.vm_stats->instrs.fetch_add(instrs_, std::memory_order_relaxed);
-    hits_ = misses_ = disabled_ = instrs_ = 0;
+    instrs_ = 0;
   }
 
   // -- checkpoint capture/restore ----------------------------------------------
@@ -242,10 +192,7 @@ class Vm {
         std::string name = r.str();
         DMat m = DMat::load_snapshot(r, comm_.rank());
         uint32_t reg = find_reg(ch.named_mregs, name);
-        if (reg != ~0u) {
-          f.m[reg] = std::move(m);
-          f.ver[reg] = next_ver();
-        }
+        if (reg != ~0u) f.m[reg] = std::move(m);
       }
       return co.resume_statement();
     } catch (const snap::SnapshotError& e) {
@@ -257,8 +204,8 @@ class Vm {
   // -- compound instruction bodies ---------------------------------------------
 
   // Shapes are validated on every execution: a handful of integer
-  // compares per operand, which measured cheaper than an inline cache's
-  // version-key bookkeeping on a loop of 4-element kernels.
+  // compares per operand, which measured cheaper than caching a validated
+  // shape per site on a loop of 4-element kernels.
   void ew_kernel(RFrame& f, const BcInstr& in) {
     const KernelEntry& ke = mod_.kernels[in.b];
     const driver::Kernel& k = ke.k;
@@ -290,7 +237,7 @@ class Vm {
     DMat out(comm_, proto.rows(), proto.cols(), proto.layout().dist());
     k.run(out.local().data(), kmat_ptrs_.data(), kscalar_vals_.data(),
           kstack_, n);
-    setm(f, in.a, std::move(out));
+    f.m[in.a] = std::move(out);
   }
 
   double eval_rnode(const TreeEntry& t, int32_t idx, RFrame& f, size_t l) {
@@ -337,39 +284,37 @@ class Vm {
     for (size_t l = 0; l < ov.size(); ++l) {
       ov[l] = eval_rnode(t, t.root, f, l);
     }
-    setm(f, in.a, std::move(out));
+    f.m[in.a] = std::move(out);
   }
 
-  /// Linear-index mapping for GetEl, replicating the tree walker's branch
-  /// structure exactly (including its row-major documented deviation).
-  void getel_mapping(const DMat& m, uint8_t& kind, uint64_t& cols) {
-    cols = m.cols();
-    if (m.rows() == 1 || !m.is_vector()) {
-      kind = m.rows() != 1 ? 2 : 0;
-    } else {
-      kind = 1;
-    }
-  }
-
-  /// Linear-index mapping for SetEl (the tree walker derives it with a
-  /// different branch ladder than GetEl; both preserved verbatim).
-  void setel_mapping(const DMat& m, uint8_t& kind, uint64_t& cols) {
-    cols = m.cols();
+  /// Row and column of linear index k for GetEl, replicating the tree
+  /// walker's branch structure exactly (including its row-major documented
+  /// deviation).
+  static void getel_mapping(const DMat& m, size_t k, size_t& r, size_t& c) {
     if (m.rows() == 1) {
-      kind = 0;
-    } else if (m.cols() == 1) {
-      kind = 1;
+      r = 0;
+      c = k;
+    } else if (!m.is_vector()) {
+      r = k / m.cols();
+      c = k % m.cols();
     } else {
-      kind = 2;
+      r = k;
+      c = 0;
     }
   }
 
-  static void map_linear(uint8_t kind, uint64_t cols, size_t k, size_t& r,
-                         size_t& c) {
-    switch (kind) {
-      case 0: r = 0; c = k; break;
-      case 1: r = k; c = 0; break;
-      default: r = k / cols; c = k % cols; break;
+  /// Row and column of linear index k for SetEl (the tree walker derives it
+  /// with a different branch ladder than GetEl; both preserved verbatim).
+  static void setel_mapping(const DMat& m, size_t k, size_t& r, size_t& c) {
+    if (m.rows() == 1) {
+      r = 0;
+      c = k;
+    } else if (m.cols() == 1) {
+      r = k;
+      c = 0;
+    } else {
+      r = k / m.cols();
+      c = k % m.cols();
     }
   }
 
@@ -383,7 +328,6 @@ class Vm {
       const BcFunction::Var& p = fn.params[i];
       if ((ent[i] & kAuxTagMask) == kAuxMatrix) {
         g.m[p.reg] = f.m[reg];
-        g.ver[p.reg] = next_ver();
       } else {
         g.s[p.reg] = f.s[reg];
       }
@@ -397,7 +341,6 @@ class Vm {
         case kAuxTrap: fail(mod_.strings[val]);
         case kAuxMatrix:
           f.m[val] = g.m[o.reg];
-          f.ver[val] = next_ver();
           break;
         default:
           f.s[val] = g.s[o.reg];
@@ -540,22 +483,22 @@ class Vm {
     OVM_CASE(Trap) { fail(mod_.strings[in->a]); }
 
     OVM_CASE(MatMul) {
-      setm(f, in->a, rt::matmul(comm_, f.m[in->b], f.m[in->c]));
+      f.m[in->a] = rt::matmul(comm_, f.m[in->b], f.m[in->c]);
     }
     OVM_NEXT();
     OVM_CASE(MatVec) {
-      setm(f, in->a, rt::matvec(comm_, f.m[in->b], f.m[in->c]));
+      f.m[in->a] = rt::matvec(comm_, f.m[in->b], f.m[in->c]);
     }
     OVM_NEXT();
     OVM_CASE(VecMat) {
-      setm(f, in->a, rt::vecmat(comm_, f.m[in->b], f.m[in->c]));
+      f.m[in->a] = rt::vecmat(comm_, f.m[in->b], f.m[in->c]);
     }
     OVM_NEXT();
     OVM_CASE(Outer) {
-      setm(f, in->a, rt::outer(comm_, f.m[in->b], f.m[in->c]));
+      f.m[in->a] = rt::outer(comm_, f.m[in->b], f.m[in->c]);
     }
     OVM_NEXT();
-    OVM_CASE(Transp) { setm(f, in->a, rt::transpose(comm_, f.m[in->b])); }
+    OVM_CASE(Transp) { f.m[in->a] = rt::transpose(comm_, f.m[in->b]); }
     OVM_NEXT();
     OVM_CASE(Dot) { f.s[in->a] = rt::dot(comm_, f.m[in->b], f.m[in->c]); }
     OVM_NEXT();
@@ -576,16 +519,16 @@ class Vm {
       const DMat& m = f.m[in->b];
       switch (static_cast<lower::RedKind>(in->flag)) {
         case lower::RedKind::Sum:
-          setm(f, in->a, rt::colwise_sum(comm_, m, false));
+          f.m[in->a] = rt::colwise_sum(comm_, m, false);
           break;
         case lower::RedKind::Mean:
-          setm(f, in->a, rt::colwise_sum(comm_, m, true));
+          f.m[in->a] = rt::colwise_sum(comm_, m, true);
           break;
         case lower::RedKind::Min:
-          setm(f, in->a, rt::colwise_minmax(comm_, m, true));
+          f.m[in->a] = rt::colwise_minmax(comm_, m, true);
           break;
         case lower::RedKind::Max:
-          setm(f, in->a, rt::colwise_minmax(comm_, m, false));
+          f.m[in->a] = rt::colwise_minmax(comm_, m, false);
           break;
         case lower::RedKind::Prod:
           fail("column-wise prod is not supported");
@@ -605,23 +548,7 @@ class Vm {
       size_t r;
       size_t c;
       if ((in->flag & 1) != 0) {
-        size_t k = as_index(f.s[in->c], "linear");
-        uint8_t kind;
-        uint64_t cols;
-        if (in->e != 0xFFFF) {
-          ICache& ic = caches_[in->e];
-          if (ic_hit(ic, f.ver[in->b])) {
-            kind = ic.kind;
-            cols = ic.cols;
-          } else {
-            getel_mapping(m, kind, cols);
-            ic.kind = kind;
-            ic.cols = cols;
-          }
-        } else {
-          getel_mapping(m, kind, cols);
-        }
-        map_linear(kind, cols, k, r, c);
+        getel_mapping(m, as_index(f.s[in->c], "linear"), r, c);
       } else {
         r = as_index(f.s[in->c], "row");
         c = as_index(f.s[in->d], "column");
@@ -635,41 +562,24 @@ class Vm {
       size_t c;
       double v;
       if ((in->flag & 1) != 0) {
-        size_t k = as_index(f.s[in->b], "linear");
-        uint8_t kind;
-        uint64_t cols;
-        if (in->e != 0xFFFF) {
-          ICache& ic = caches_[in->e];
-          if (ic_hit(ic, f.ver[in->a])) {
-            kind = ic.kind;
-            cols = ic.cols;
-          } else {
-            setel_mapping(m, kind, cols);
-            ic.kind = kind;
-            ic.cols = cols;
-          }
-        } else {
-          setel_mapping(m, kind, cols);
-        }
-        map_linear(kind, cols, k, r, c);
+        setel_mapping(m, as_index(f.s[in->b], "linear"), r, c);
         v = f.s[in->c];
       } else {
         r = as_index(f.s[in->b], "row");
         c = as_index(f.s[in->c], "column");
         v = f.s[in->d];
       }
-      rt::set_element(comm_, m, r, c, v);  // in place: no version bump
+      rt::set_element(comm_, m, r, c, v);
     }
     OVM_NEXT();
     OVM_CASE(ExtrRow) {
-      setm(f, in->a,
-           rt::extract_row(comm_, f.m[in->b], as_index(f.s[in->c], "row")));
+      f.m[in->a] =
+          rt::extract_row(comm_, f.m[in->b], as_index(f.s[in->c], "row"));
     }
     OVM_NEXT();
     OVM_CASE(ExtrCol) {
-      setm(f, in->a,
-           rt::extract_col(comm_, f.m[in->b],
-                           as_index(f.s[in->c], "column")));
+      f.m[in->a] = rt::extract_col(comm_, f.m[in->b],
+                                   as_index(f.s[in->c], "column"));
     }
     OVM_NEXT();
     OVM_CASE(AsgnRow) {
@@ -685,7 +595,7 @@ class Vm {
     OVM_CASE(SliceV) {
       size_t lo = as_index(f.s[in->c], "slice lo");
       size_t hi = as_index(f.s[in->d], "slice hi");
-      setm(f, in->a, rt::slice_vector(comm_, f.m[in->b], lo, hi));
+      f.m[in->a] = rt::slice_vector(comm_, f.m[in->b], lo, hi);
     }
     OVM_NEXT();
     OVM_CASE(AsgnSlice) {
@@ -697,43 +607,43 @@ class Vm {
     OVM_CASE(FillZ) {
       size_t r = as_dim(f.s[in->b], "row");
       size_t c = as_dim(f.s[in->c], "column");
-      setm(f, in->a, rt::fill_zeros(comm_, r, c, opts_.dist));
+      f.m[in->a] = rt::fill_zeros(comm_, r, c, opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(FillO) {
       size_t r = as_dim(f.s[in->b], "row");
       size_t c = as_dim(f.s[in->c], "column");
-      setm(f, in->a, rt::fill_ones(comm_, r, c, opts_.dist));
+      f.m[in->a] = rt::fill_ones(comm_, r, c, opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(FillE) {
       size_t r = as_dim(f.s[in->b], "row");
       size_t c = as_dim(f.s[in->c], "column");
-      setm(f, in->a, rt::fill_eye(comm_, r, c, opts_.dist));
+      f.m[in->a] = rt::fill_eye(comm_, r, c, opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(FillRnd) {
       size_t r = as_dim(f.s[in->b], "row");
       size_t c = as_dim(f.s[in->c], "column");
-      setm(f, in->a, rt::fill_rand(comm_, r, c, opts_.rand_seed, rand_seq_,
-                                   opts_.dist));
+      f.m[in->a] =
+          rt::fill_rand(comm_, r, c, opts_.rand_seed, rand_seq_, opts_.dist);
       rand_seq_ += static_cast<uint64_t>(r) * c;
     }
     OVM_NEXT();
     OVM_CASE(FillRange) {
-      setm(f, in->a, rt::fill_range(comm_, f.s[in->b], f.s[in->c], f.s[in->d],
-                                    opts_.dist));
+      f.m[in->a] = rt::fill_range(comm_, f.s[in->b], f.s[in->c], f.s[in->d],
+                                  opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(FillLin) {
       double lo = f.s[in->b];
       double hi = f.s[in->c];
       size_t n = as_dim(f.s[in->d], "count");
-      setm(f, in->a, rt::fill_linspace(comm_, lo, hi, n, opts_.dist));
+      f.m[in->a] = rt::fill_linspace(comm_, lo, hi, n, opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(LoadF) {
-      setm(f, in->a, rt::load_matrix(comm_, mod_.strings[in->b], opts_.dist));
+      f.m[in->a] = rt::load_matrix(comm_, mod_.strings[in->b], opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(FromLit) {
@@ -742,12 +652,11 @@ class Vm {
       data.reserve(count);
       const uint32_t* ent = mod_.aux.data() + in->b;
       for (size_t i = 0; i < count; ++i) data.push_back(f.s[ent[i]]);
-      setm(f, in->a, rt::from_full(comm_, in->c, in->d, data, opts_.dist));
+      f.m[in->a] = rt::from_full(comm_, in->c, in->d, data, opts_.dist);
     }
     OVM_NEXT();
     OVM_CASE(CopyM) {
       if (in->a != in->b) f.m[in->a] = f.m[in->b];
-      f.ver[in->a] = next_ver();
     }
     OVM_NEXT();
     OVM_CASE(EwKern) { ew_kernel(f, *in); }
@@ -756,17 +665,14 @@ class Vm {
     OVM_NEXT();
     OVM_CASE(Guard) {
       const DMat& m = f.m[in->a];
-      ICache& ic = caches_[in->c];
-      if (!ic_hit(ic, f.ver[in->a])) {
-        if ((m.rows() == 1 || m.cols() == 1) && m.numel() > 1) {
-          throw rt::RtError(
-              "shape guard failed: the argument of '" + mod_.strings[in->b] +
-                  "' was assumed to be a matrix at compile time but is a " +
-                  std::to_string(m.rows()) + "x" + std::to_string(m.cols()) +
-                  " vector at run time (recompile with --strict-infer to "
-                  "reject this program statically)",
-              stmt_loc(), "E5003");
-        }
+      if ((m.rows() == 1 || m.cols() == 1) && m.numel() > 1) {
+        throw rt::RtError(
+            "shape guard failed: the argument of '" + mod_.strings[in->b] +
+                "' was assumed to be a matrix at compile time but is a " +
+                std::to_string(m.rows()) + "x" + std::to_string(m.cols()) +
+                " vector at run time (recompile with --strict-infer to "
+                "reject this program statically)",
+            stmt_loc(), "E5003");
       }
     }
     OVM_NEXT();
@@ -778,9 +684,9 @@ class Vm {
           out_ << mod_.strings[in->a] << " =\n" << body;
         }
       } else if (comm_.rank() == 0) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", print_form(f.s[in->b]));
-        out_ << mod_.strings[in->a] << " =\n" << buf << '\n';
+        out_ << mod_.strings[in->a] << " =\n";
+        print_real(out_, f.s[in->b]);
+        out_ << '\n';
       }
     }
     OVM_NEXT();
@@ -791,9 +697,8 @@ class Vm {
         std::string body = rt::format_dmat(comm_, f.m[in->a]);
         if (comm_.rank() == 0) out_ << body;
       } else if (comm_.rank() == 0) {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.6g", print_form(f.s[in->a]));
-        out_ << buf << '\n';
+        print_real(out_, f.s[in->a]);
+        out_ << '\n';
       }
     }
     OVM_NEXT();
@@ -815,18 +720,12 @@ class Vm {
   mpi::Comm& comm_;
   std::ostream& out_;
   const driver::ExecOptions& opts_;
-  std::vector<ICache> caches_;  // per-rank: sites index this by slot id
   bool poll_deadline_ = false;
   uint32_t ckpt_interval_ = 0;
   uint64_t rand_seq_ = 0;
   uint64_t deadline_stride_ = 0;
-  uint64_t ver_counter_ = 0;   // matrix-register version source (see ICache)
-  uint32_t cur_stmt_ = 0;      // innermost statement, for error context
-  // Local stat tallies, flushed to opts_.vm_stats once at run end.
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t disabled_ = 0;
-  uint64_t instrs_ = 0;
+  uint32_t cur_stmt_ = 0;  // innermost statement, for error context
+  uint64_t instrs_ = 0;    // flushed to opts_.vm_stats once at run end
   // Reusable per-statement scratch, mirroring the tree executor's arena.
   std::vector<const double*> kmat_ptrs_;
   std::vector<double> kscalar_vals_;

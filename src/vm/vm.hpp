@@ -19,23 +19,15 @@
 
 namespace otter::vm {
 
-/// Inline-cache behaviour counters of the GetEl, SetEl and Guard sites,
-/// aggregated across all ranks of a run
-/// (each rank's VM flushes its local tallies once at run end, hence the
-/// atomics). A site stops counting once it self-disables after
-/// `kStableHits` consecutive hits — the version check itself never turns
-/// off, so `hits`/`misses` measure warm-up and shape churn, not steady
-/// state.
+/// Run counters aggregated across all ranks of a run (each rank's VM
+/// flushes its local tally once at run end, hence the atomics).
 struct VmStats {
+  std::atomic<uint64_t> instrs{0};  ///< dispatched bytecode instructions
+  /// Always 0: the VM has no inline caches. Kept only because
+  /// perfbench/tracer.cpp still reads them as vm.ic_hits / vm.ic_misses.
   std::atomic<uint64_t> cache_hits{0};
   std::atomic<uint64_t> cache_misses{0};
-  std::atomic<uint64_t> cache_disabled{0};  ///< sites that reached stable state
-  std::atomic<uint64_t> instrs{0};          ///< dispatched bytecode instructions
 };
-
-/// Number of consecutive inline-cache hits after which a site self-disables
-/// its statistics bookkeeping.
-inline constexpr uint32_t kStableHits = 16;
 
 /// Runs the compiled module as this rank's part of the SPMD computation —
 /// the VM-tier counterpart of driver::execute_lir (same contract: only

@@ -2,7 +2,7 @@
 // (positive and negative cases), the seeded-defect lint corpus, the
 // benchmark scripts' lint expectations, the LIR verifier's E6xxx checks on
 // deliberately broken hand-built programs, and the liveness-driven
-// dead-statement elimination in lower/.
+// dead-statement elimination that ends the optimizer.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -34,14 +34,13 @@ struct LintRun {
   std::string json;
 };
 
-/// Compiles `src` (no DSE, so the lint sees every statement) and runs the
+/// Compiles `src` (-O0, so the lint sees every statement) and runs the
 /// linter plus the abstract-interpretation findings (what otterlint does),
 /// collecting everything in a fresh engine.
 LintRun lint_src(const std::string& src,
                  const sema::MFileLoader& loader = {}) {
   LintRun r;
   driver::CompileOptions copts;
-  copts.lower.dse = false;
   copts.opt.level = 0;  // lint the raw LIR: every finding stays visible
   copts.analyze = true;
   r.compiled = driver::compile_script(src, loader, copts);
@@ -365,7 +364,6 @@ TEST(Lint, JsonCarriesCodeFileAndLine) {
 
 TEST(Lint, WerrorPromotesFindingsToErrors) {
   driver::CompileOptions copts;
-  copts.lower.dse = false;
   copts.opt.level = 0;
   auto c = driver::compile_script("x = 3;\nx = 4;\ndisp(x);\n", {}, copts);
   ASSERT_TRUE(c->ok) << c->diags.to_string();
@@ -700,8 +698,7 @@ TEST(VerifyLir, VerifierAcceptsEveryCompiledBenchmark) {
 
 std::string lir_dump(const std::string& src, bool dse) {
   driver::CompileOptions copts;
-  copts.lower.dse = dse;
-  copts.opt.level = 0;  // isolate DSE's effect from the optimizer's sweep
+  copts.opt.level = dse ? 1 : 0;  // -O1: copy propagation and DSE only
   auto c = driver::compile_script(src, {}, copts);
   EXPECT_TRUE(c->ok) << c->diags.to_string();
   return lower::dump_lir(c->lir);
@@ -719,15 +716,15 @@ TEST(Dse, RemovesDeadCommunication) {
 
 TEST(Dse, ReturnsRemovedCount) {
   driver::CompileOptions copts;
-  copts.lower.dse = false;
-  copts.opt.level = 0;
+  copts.opt.level = 1;
   auto c = driver::compile_script(
       "a = ones(4, 4);\nb = ones(4, 4);\ndead = a * b;\nc = a + b;\n"
       "disp(c(1, 1));\n",
       {}, copts);
   ASSERT_TRUE(c->ok) << c->diags.to_string();
-  EXPECT_GE(lower::run_dse(c->lir), 1u);
-  EXPECT_EQ(lower::run_dse(c->lir), 0u);  // second pass finds nothing
+  EXPECT_GE(c->opt_report.swept, 1u);
+  // A second run finds nothing: the pass already repeats to a fixpoint.
+  EXPECT_EQ(lower::run_opt(c->lir, copts.opt).swept, 0u);
 }
 
 TEST(Dse, KeepsRandFillsForStreamPosition) {
@@ -761,7 +758,7 @@ TEST(Dse, KeepsReadModifyWrites) {
 
 TEST(Dse, DifferentialOutputUnchanged) {
   // The canonical use: the same program with and without DSE must print
-  // the same thing (exercised at scale by otterfuzz --no-dse differential).
+  // the same thing (exercised at scale by otterfuzz's -O0 vs -O2 legs).
   const std::string src =
       "a = ones(3, 3);\nwaste = a * a;\nt = sum(sum(a));\ndisp(t);\n";
   std::string without = lir_dump(src, false);

@@ -1,13 +1,16 @@
 // LIR optimizer tests: golden pre/post-opt dumps for fusion, communication
 // LICM, communication CSE and copy propagation; semantic equivalence of
 // -O0 vs -O2 (and kernels on vs off) against the interpreter oracle; the
-// zero-trip loop guard; the post-opt LIR verifier; and the W3207 lint
+// zero-trip loop guard; the post-opt LIR verifier; dead-store elimination
+// on the daemon's default compile path; and the W3207 lint
 // cross-link ("the warning is a note once the optimizer performs the fix").
 #include <gtest/gtest.h>
 
 #include "analysis/lint.hpp"
 #include "analysis/verify.hpp"
 #include "driver/pipeline.hpp"
+#include "service/server.hpp"
+#include "support/json.hpp"
 
 namespace otter::lower {
 namespace {
@@ -299,6 +302,45 @@ TEST(OptVerify, PostOptLirPassesVerifier) {
     EXPECT_EQ(analysis::verify_lir(c->lir, c->diags), 0u)
         << c->diags.to_string();
   }
+}
+
+// -- dead-store elimination ---------------------------------------------------
+
+// x's matrix product is overwritten before any read. The daemon compiles
+// with default CompileOptions; it must drop the dead product (and its
+// allgather) exactly as the command-line compiler does.
+const char* kOverwrittenStoreSrc =
+    "a = ones(64, 64);\nx = a * a;\nx = a + 1;\ndisp(x(1, 1));\n";
+
+TEST(OptDse, DaemonPathDropsOverwrittenCommunication) {
+  auto c = driver::compile_script(kOverwrittenStoreSrc, {},
+                                  driver::CompileOptions{});
+  ASSERT_TRUE(c->ok) << c->diags.to_string();
+  std::string post = dump_lir(c->lir);
+  EXPECT_EQ(post.find("ML_matrix_multiply"), std::string::npos) << post;
+  EXPECT_GE(c->opt_report.swept, 1u);
+
+  // The program with the dead statement deleted by hand is what the
+  // command-line compiler has always run: same output, same comm ops.
+  auto by_hand =
+      compile_at("a = ones(64, 64);\nx = a + 1;\ndisp(x(1, 1));\n", 2);
+  const mpi::MachineProfile ideal = mpi::profile_by_name("ideal");
+  driver::ParallelRun run = driver::run_parallel(c->lir, ideal, 2);
+  driver::ParallelRun ref = driver::run_parallel(by_hand->lir, ideal, 2);
+  EXPECT_EQ(run.output, ref.output);
+  EXPECT_EQ(run.times.total_ops(), ref.times.total_ops());
+
+  service::Service svc;
+  json::JValue req{json::JObject{}};
+  req.set("op", "compile_run");
+  req.set("script", kOverwrittenStoreSrc);
+  req.set("np", 2);
+  auto resp = json::parse(svc.process_line(req.dump()));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->get_string("status", ""), "ok");
+  EXPECT_EQ(resp->get_string("output", ""), ref.output);
+  EXPECT_EQ(resp->get_number("comm_ops", -1),
+            static_cast<double>(ref.times.total_ops()));
 }
 
 // -- lint cross-link ----------------------------------------------------------

@@ -42,12 +42,11 @@
 //   --Werror               report lint findings as errors (with --lint or
 //                          --analyze this makes findings exit with code 65)
 //   --no-verify-lir        skip the post-lowering LIR self-verification
-//   --no-dse               disable the liveness-driven dead-statement
-//                          elimination
 //   -O0 | -O1 | -O2        LIR optimizer level (default -O2): -O1 adds copy
-//                          propagation, fusion of element-wise chains, and
-//                          dead-result sweeping; -O2 adds communication CSE
-//                          and loop-invariant communication motion
+//                          propagation and dead-store elimination; -O2 adds
+//                          fusion of element-wise chains, communication CSE,
+//                          loop-invariant communication motion and
+//                          proof-backed shape-guard elimination
 //   --backend=vm|tree      execution tier for --run=direct: the register
 //                          bytecode VM or the tree-walking executor. Default
 //                          follows the opt level: -O0 runs the tree walker
@@ -134,7 +133,6 @@ struct Options {
   bool analyze = false;
   bool werror = false;
   bool verify_lir = true;
-  bool dse = true;
   int opt_level = 2;
   bool fuse = true;
   bool licm = true;
@@ -164,7 +162,6 @@ int usage() {
       "              [--diag-format=text|json] [--max-errors=N]\n"
       "              [--strict-infer] [--budget-seconds=SECS]\n"
       "              [--lint] [--analyze] [--Werror] [--no-verify-lir]\n"
-      "              [--no-dse]\n"
       "              [-O0|-O1|-O2] [--no-fuse] [--no-licm] [--no-guard-elim]\n"
       "              [--backend=vm|tree] [--dump-bytecode]\n"
       "              [--dump-lir=pre-opt|post-opt]\n"
@@ -228,7 +225,6 @@ bool parse_args(int argc, char** argv, Options& o) try {
     else if (a == "--analyze") o.analyze = true;
     else if (a == "--Werror") o.werror = true;
     else if (a == "--no-verify-lir") o.verify_lir = false;
-    else if (a == "--no-dse") o.dse = false;
     else if (!a.empty() && a[0] == '-') return false;
     else if (o.script_path.empty()) o.script_path = a;
     else return false;
@@ -456,11 +452,9 @@ int main(int argc, char** argv) {
     otter::driver::CompileOptions copts;
     copts.lower.peephole = opt.peephole;
     bool analyzing = opt.lint || opt.analyze;
-    // Lint wants the full LIR: DSE would delete the very dead stores and
-    // unused results the analysis reports on.
-    copts.lower.dse = opt.dse && !analyzing;
-    // Lint also wants the unoptimized LIR (the findings describe the
-    // program as written); the optimizer's own work is cross-linked below.
+    // Lint wants the unoptimized LIR: the findings describe the program as
+    // written (DSE would delete the very dead stores and unused results the
+    // analysis reports on); the optimizer's own work is cross-linked below.
     copts.opt.level = analyzing ? 0 : opt.opt_level;
     copts.analyze = opt.analyze;
     copts.opt.fuse = opt.fuse;

@@ -38,8 +38,8 @@
 // verifier (--verify-lir semantics): a verification failure on an input the
 // compiler accepted is a miscompile and counts as a failure, never as a
 // legitimate rejection. The differential check also replays each valid
-// script with dead-statement elimination enabled, so the optimizer is
-// differentially tested too.
+// script at -O2, whose last pass is dead-statement elimination, so the
+// optimizer is differentially tested against the -O0 reference too.
 //
 // Exit status: 0 when every check passed, 1 otherwise. The tool is
 // deterministic for a given flag set, so CI failures replay locally.
@@ -274,14 +274,17 @@ std::vector<fs::path> list_scripts(const fs::path& dir) {
 
 /// Runs `source` through the interpreter and the compiled direct executor at
 /// np=1 and np=3; returns a problem description, or empty when all agree.
-/// With `coded_failure_ok`, an interpreter run that fails with a coded
+/// `loader` resolves the function M-files the script calls. With
+/// `coded_failure_ok`, an interpreter run that fails with a coded
 /// diagnostic is a legitimate outcome, which every leg must then reproduce
 /// with the same code.
-std::string diff_one(const std::string& source, bool coded_failure_ok = false) {
+std::string diff_one(const std::string& source,
+                     const otter::sema::MFileLoader& loader,
+                     bool coded_failure_ok = false) {
   std::string interp_out;
   std::string interp_code;  // the interpreter's failure code, if it failed
   try {
-    interp_out = otter::driver::run_interpreter(source, {}, 1).output;
+    interp_out = otter::driver::run_interpreter(source, loader, 1).output;
   } catch (const otter::interp::InterpError& e) {
     if (!coded_failure_ok) {
       return std::string("interpreter failed: ") + e.what();
@@ -293,7 +296,7 @@ std::string diff_one(const std::string& source, bool coded_failure_ok = false) {
   otter::mpi::MachineProfile profile = otter::mpi::profile_by_name("ideal");
   // Leg 1: the tree executor on the LIR exactly as lowered (-O0, no DSE) —
   // the reference tier. Leg 2: the tree executor on the full default
-  // pipeline (DSE + the -O2 optimizer + compiled kernels). Leg 3: the
+  // pipeline (the -O2 optimizer, DSE last, + compiled kernels). Leg 3: the
   // register-bytecode VM on the same -O2 LIR, so the default execution tier
   // is differentially tested against both the interpreter and the walker.
   struct Leg {
@@ -310,9 +313,9 @@ std::string diff_one(const std::string& source, bool coded_failure_ok = false) {
   for (const Leg& leg : kLegs) {
     if (!compiled[leg.level]) {
       otter::driver::CompileOptions copts;
-      copts.lower.dse = leg.level > 0;
       copts.opt.level = leg.level;
-      compiled[leg.level] = otter::driver::compile_script(source, {}, copts);
+      compiled[leg.level] =
+          otter::driver::compile_script(source, loader, copts);
       if (!compiled[leg.level]->ok) {
         return std::string("valid corpus script failed to compile") +
                leg.tag + ":\n" + compiled[leg.level]->diags.to_string();
@@ -545,7 +548,6 @@ std::string diff_guard_levels(const std::string& source, Stats& stats,
   for (int i = 0; i < 2; ++i) {
     otter::driver::CompileOptions copts;
     copts.opt.level = i == 0 ? 0 : 2;
-    copts.lower.dse = i != 0;
     copts.analyze = true;
     copts.budget.max_wall_seconds = 5.0;
     levels[i] = otter::driver::compile_script(source, {}, copts);
@@ -660,10 +662,13 @@ int main(int argc, char** argv) {
 
   // 3. Differential check over the valid corpus.
   if (opt.diff) {
+    // Valid scripts may call the function M-files that sit beside them.
+    otter::sema::MFileLoader loader =
+        otter::driver::dir_loader((corpus_root / "valid").string());
     for (const fs::path& p : list_scripts(corpus_root / "valid")) {
       std::optional<std::string> text = read_file(p);
       if (!text) continue;
-      std::string problem = diff_one(*text);
+      std::string problem = diff_one(*text, loader);
       if (!problem.empty()) {
         ++stats.failures;
         std::cerr << "otterfuzz: FAIL [diff] " << p.filename().string() << ": "
@@ -701,7 +706,7 @@ int main(int argc, char** argv) {
   for (uint64_t seed = 0; seed < opt.ieee; ++seed) {
     std::string script = gen_ieee_script(seed);
     ++stats.inputs;
-    std::string problem = diff_one(script, /*coded_failure_ok=*/true);
+    std::string problem = diff_one(script, {}, /*coded_failure_ok=*/true);
     if (!problem.empty()) {
       ++stats.failures;
       std::cerr << "otterfuzz: FAIL [ieee] seed " << seed << ": " << problem

@@ -155,9 +155,8 @@ int main(int argc, char** argv) {
 
   otter::driver::CompileOptions copts;
   copts.source_name = opt.script_path;
-  // Analysis wants the full LIR, exactly as lowered: no DSE, no optimizer
-  // (the golden findings describe the program as written, not as optimized).
-  copts.lower.dse = false;
+  // Analysis wants the full LIR, exactly as lowered: no optimizer, so no
+  // DSE (the golden findings describe the program as written).
   copts.opt.level = 0;
   copts.analyze = true;  // abstract interpretation (W3208-W3210) always runs
   auto compiled = otter::driver::compile_script(
